@@ -109,7 +109,7 @@ func fleetBenchFile(batch int) string {
 }
 
 // E11 — fleet throughput: the paper-encoder fleet through the
-// zero-retention stats path, serially and on the shard-affine scheduler
+// zero-retention stats path, serially and on the engine's worker pool
 // at 1/2/4/8/16 workers. Each sub-benchmark reports ns/action and
 // allocs/action (stream setup included, so the steady-state figure is
 // bounded by BenchmarkFleetStep) and the harness writes the set — host
@@ -364,11 +364,11 @@ func mergeFleetBenchRows(b *testing.B, file string, rows []fleetBenchRow) {
 //
 // Two row families share the harness. The small family (8 streams,
 // sparse Poisson arrivals, cap-4) is the engine-overhead row set the
-// baseline has tracked since PR 5: the serial wave spec as the
-// before-state plus the wave-free engine at workers 1, 2 and 4. The
+// baseline tracks: the serial spec as the reference plus the wave-free
+// engine at workers 1, 2 and 4. The
 // large family (64 streams, dense arrivals, admit-all, workers swept
 // 1/2/4/8/16) is the multi-core scaling matrix: enough concurrent
-// in-flight streams that per-shard completion rings and lookahead
+// in-flight streams that per-worker completion rings and lookahead
 // admission have parallelism to expose — flat on a single-core host,
 // dropping ns/action with cores on a real runner, which is exactly
 // what benchguard's speedup assertion checks in CI. Each configuration

@@ -197,7 +197,11 @@ func BenchmarkFleet16Streams(b *testing.B) {
 			if err := res.Err(); err != nil {
 				b.Fatal(err)
 			}
-			fs := metrics.AggregateTraces(res.Traces())
+			traces := make([]*sim.Trace, len(res.Streams))
+			for k, sr := range res.Streams {
+				traces[k] = sr.Trace
+			}
+			fs := metrics.AggregateTraces(traces)
 			b.ReportMetric(100*fs.MissRate, "missrate_pct")
 			b.ReportMetric(fs.AvgQuality, "avg_quality")
 		})

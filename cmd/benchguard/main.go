@@ -13,7 +13,7 @@
 // names compared *within the fresh artifact* — produced on one host in
 // one run, so the ratio is meaningful wherever CI executes. The shipped
 // CI uses it to assert the continuous open engine never falls behind
-// the serial wave spec it replaced.
+// its serial spec.
 //
 // Multi-core scaling gets its own within-artifact assertion through
 // -speedup: a row:reference pair (repeatable) where the reference is

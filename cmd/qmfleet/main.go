@@ -3,7 +3,7 @@
 // fleet-wide report. It is the scale-out counterpart of qmsim: one
 // compiled controller (shared immutable tables), N streams with their
 // own cycle clocks and content seeds, a goroutine worker pool sharded
-// by stream. Per-stream results are byte-identical to serial qmsim runs
+// by slot range. Per-stream results are byte-identical to serial qmsim runs
 // at the same derived seeds, whatever the worker count.
 //
 // Usage:
@@ -82,7 +82,7 @@ func main() {
 	log.SetPrefix("qmfleet: ")
 	streams := flag.Int("streams", 16, "number of independent streams")
 	workers := flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-	batch := flag.Int("batch", fleet.DefaultBatchCycles, "cycles a worker advances one stream before moving to the next in its shard")
+	batch := flag.Int("batch", fleet.DefaultBatchCycles, "cycles a worker advances one stream before moving to the next in its range")
 	lookahead := flag.Int("lookahead", fleet.DefaultLookahead, "admitted slots batched per worker wake in open runs (results identical at any value)")
 	cycles := flag.Int("cycles", 8, "cycles (frames) per stream")
 	seed := flag.Uint64("seed", 1, "base content seed; stream k uses a seed derived from it")

@@ -51,7 +51,11 @@ func TestPaperFleetStaysSafe(t *testing.T) {
 	if err := res.Err(); err != nil {
 		t.Fatal(err)
 	}
-	fs := metrics.AggregateTraces(res.Traces())
+	var traces []*sim.Trace
+	for _, sr := range res.Streams {
+		traces = append(traces, sr.Trace)
+	}
+	fs := metrics.AggregateTraces(traces)
 	if fs.Streams != 6 {
 		t.Fatalf("aggregated %d streams, want 6", fs.Streams)
 	}
@@ -85,8 +89,10 @@ func TestWorkloadFleetMixesCatalog(t *testing.T) {
 	if err := res.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if res.TotalMisses() != 0 {
-		t.Fatalf("mixed workload fleet missed %d deadlines", res.TotalMisses())
+	for _, sr := range res.Streams {
+		if sr.Trace.Misses != 0 {
+			t.Fatalf("mixed workload stream %s missed %d deadlines", sr.Name, sr.Trace.Misses)
+		}
 	}
 	if _, err := WorkloadFleet(1, 0, 2); err == nil {
 		t.Fatal("n=0 must be rejected")

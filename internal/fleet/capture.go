@@ -225,7 +225,7 @@ func (f *openFrontier) restore(c *OpenCapture) error {
 			f.sc.traces[k] = d.Trace
 			sr.Trace = &f.sc.traces[k]
 		}
-		// The sink returns to its slab window with HarvestSlot's copy
+		// The sink returns to its slab window with harvestSlot's copy
 		// discipline (an empty histogram is nil, not zero-length).
 		s := &f.sc.stats[k]
 		base := k * f.maxLevels

@@ -1,13 +1,15 @@
 // Package fleet is the concurrent multi-stream engine: it runs N
 // independent quality-managed streams — each with its own cycle clock,
-// RNG seed and workload — on a shard-affine run-to-completion
-// scheduler. Stream state lives in a struct-of-arrays StreamTable
-// (contiguous slabs of clocks, cycle counters, trace aggregates and
-// StatsSink accumulators); persistent workers own disjoint contiguous
-// shards of it, advance each stream in configurable cycle batches, and
-// only touch a shared atomic counter to steal leftover work once their
-// shard drains — there is no channel round-trip per stream-step. The
-// paper's Quality Manager was built for exactly this reuse:
+// RNG seed and workload — on one engine. A deterministic virtual-time
+// frontier (frontier.go) admits arriving streams into a slot arena of
+// struct-of-arrays chunks (contiguous slabs of clocks, cycle counters,
+// trace aggregates and StatsSink accumulators), and persistent workers
+// advance the admitted streams in configurable cycle batches, each
+// sweeping its own contiguous range of slots and touching a shared
+// atomic counter only to steal once that range is dry — there is no
+// channel round-trip per stream-step. A closed fleet (Run, RunStats) is
+// the open system with every stream arriving at t = 0 under AdmitAll.
+// The paper's Quality Manager was built for exactly this reuse:
 // core.Manager decisions are deterministic functions of (state, time)
 // over immutable pre-computed tables (memoized further by the regions
 // DecisionPlan), so one compiled controller.Bundle can drive
@@ -16,7 +18,9 @@
 // The engine guarantees that scheduling changes wall-clock time, never
 // results: every stream is executed through the same sim.Stream path as
 // a serial sim.Runner, so a stream's trace is byte-identical to the
-// serial run at the same seed regardless of worker count or batch size.
+// serial run at the same seed regardless of worker count or batch size,
+// and an open run is byte-identical to the serial, single-goroutine
+// spec OpenRunSerial.
 package fleet
 
 import (
@@ -43,13 +47,14 @@ type Stream struct {
 type Config struct {
 	Streams []Stream
 	// Workers bounds the persistent worker pool (≤ 0 selects
-	// GOMAXPROCS). Each worker owns a contiguous shard of the stream
-	// table and advances its streams in cycle batches; a worker whose
-	// shard drains steals leftover streams from the others. Worker
-	// count and stealing order change wall-clock time, never results.
+	// GOMAXPROCS, capped at the stream count; 1 runs on the calling
+	// goroutine). Each worker sweeps its own contiguous range of slots
+	// and advances its streams in cycle batches; a worker whose range is
+	// dry steals ready streams from the others. Worker count and
+	// stealing order change wall-clock time, never results.
 	Workers int
 	// BatchCycles is the number of cycles a worker advances one stream
-	// before moving on to the next in its shard (≤ 0 selects
+	// before moving on to the next in its range (≤ 0 selects
 	// DefaultBatchCycles). Traces are independent of the batch size.
 	BatchCycles int
 	// Export, when non-nil, supplies an extra per-stream sink (e.g. a
@@ -58,11 +63,14 @@ type Config struct {
 	// stream. Run rejects it: retained records and streamed export are
 	// redundant — export the retained trace instead.
 	Export func(k int, name string) sim.Sink
-	// Obs, when non-nil, enables the scheduler's metric hooks (batches
-	// advanced, steals). Results are byte-identical with it on or off.
+	// Obs, when non-nil, enables the engine's metric hooks exactly as
+	// OpenConfig.Obs does: the frontier's serial-order counters see n
+	// arrivals, n admissions and n departures (nothing is delayed or
+	// shed), and the executor's shape-dependent ones see its batches,
+	// steals and parks. Results are byte-identical with it on or off.
 	Obs *obs.FleetMetrics
-	// Trace, when non-nil, records scheduler events (steals) into a
-	// bounded ring.
+	// Trace, when non-nil, records engine events (arrive, admit, bind,
+	// complete, steal, park) into a bounded ring.
 	Trace *obs.Trace
 }
 
@@ -85,17 +93,6 @@ type Result struct {
 	Streams []StreamResult
 }
 
-// Traces returns the successful traces in stream order.
-func (r *Result) Traces() []*sim.Trace {
-	out := make([]*sim.Trace, 0, len(r.Streams))
-	for _, s := range r.Streams {
-		if s.Err == nil && s.Trace != nil {
-			out = append(out, s.Trace)
-		}
-	}
-	return out
-}
-
 // Err returns the first per-stream error, or nil if every stream ran.
 func (r *Result) Err() error {
 	for _, s := range r.Streams {
@@ -106,19 +103,10 @@ func (r *Result) Err() error {
 	return nil
 }
 
-// TotalMisses sums deadline misses across all successful streams.
-func (r *Result) TotalMisses() int {
-	n := 0
-	for _, tr := range r.Traces() {
-		n += tr.Misses
-	}
-	return n
-}
-
-// Run executes every stream of the fleet on the shard-affine scheduler
-// and returns the per-stream results in input order, with full traces
-// retained. Configuration errors of individual streams are reported per
-// stream, so one bad stream does not abort the fleet.
+// Run executes every stream of the fleet and returns the per-stream
+// results in input order, with full traces retained. Configuration
+// errors of individual streams are reported per stream, so one bad
+// stream does not abort the fleet.
 func Run(cfg Config) (*Result, error) {
 	if cfg.Export != nil {
 		return nil, errors.New("fleet: Export needs the streaming path; use RunStats")
@@ -138,20 +126,23 @@ func RunStats(cfg Config) (*Result, error) {
 	return run(cfg, true)
 }
 
-// run lays the streams out in a struct-of-arrays StreamTable, drains it
-// on the shard-affine run-to-completion scheduler, and collects the
-// results.
+// run executes the closed fleet as the open system it is: every stream
+// arrives at t = 0 under AdmitAll, so nothing is delayed or shed and
+// each stream's result is exactly its serial run.
 func run(cfg Config, stats bool) (*Result, error) {
-	tbl, err := NewStreamTable(cfg.Streams, stats, cfg.Export)
+	res, err := openRunContinuous(OpenConfig{
+		Streams:     cfg.Streams,
+		Arrivals:    make([]core.Time, len(cfg.Streams)),
+		Workers:     cfg.Workers,
+		BatchCycles: cfg.BatchCycles,
+		Export:      cfg.Export,
+		Obs:         cfg.Obs,
+		Trace:       cfg.Trace,
+	}, stats)
 	if err != nil {
 		return nil, err
 	}
-	slots := make([]int32, tbl.Len())
-	for k := range slots {
-		slots[k] = int32(k)
-	}
-	tbl.runSlots(slots, cfg.Workers, cfg.BatchCycles, cfg.Obs, cfg.Trace)
-	return tbl.Result(), nil
+	return &Result{Streams: res.Streams}, nil
 }
 
 // DeriveSeed maps (base seed, stream index) to the stream's own seed

@@ -51,6 +51,17 @@ func mixedStreams(t *testing.T, n, cycles int, baseSeed uint64) []Stream {
 	return streams
 }
 
+// okTraces returns the traces of the streams that ran, in stream order.
+func okTraces(res *Result) []*sim.Trace {
+	var out []*sim.Trace
+	for _, s := range res.Streams {
+		if s.Err == nil {
+			out = append(out, s.Trace)
+		}
+	}
+	return out
+}
+
 func traceBytes(t *testing.T, tr *sim.Trace) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -135,11 +146,11 @@ func TestFleetStressStreamsOverWorkers(t *testing.T) {
 	if err := res.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Traces()) != n {
-		t.Fatalf("got %d traces, want %d", len(res.Traces()), n)
+	if len(okTraces(res)) != n {
+		t.Fatalf("got %d traces, want %d", len(okTraces(res)), n)
 	}
 	want := sys.NumActions() * 4
-	for k, tr := range res.Traces() {
+	for k, tr := range okTraces(res) {
 		if len(tr.Records) != want {
 			t.Fatalf("stream %d: %d records, want %d", k, len(tr.Records), want)
 		}
@@ -206,8 +217,8 @@ func TestFleetErrors(t *testing.T) {
 	if res.Err() == nil {
 		t.Fatal("Result.Err must surface the stream error")
 	}
-	if len(res.Traces()) != 2 {
-		t.Fatalf("Traces() = %d, want the 2 healthy streams", len(res.Traces()))
+	if len(okTraces(res)) != 2 {
+		t.Fatalf("%d traces, want the 2 healthy streams", len(okTraces(res)))
 	}
 }
 
@@ -266,7 +277,7 @@ func TestRunStatsEqualsRetainedAggregation(t *testing.T) {
 	}
 
 	got := metrics.AggregateStats(traces, stats)
-	want := metrics.AggregateTraces(retained.Traces())
+	want := metrics.AggregateTraces(okTraces(retained))
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("streamed fleet summary diverges from retained aggregation:\n got %+v\nwant %+v", got, want)
 	}

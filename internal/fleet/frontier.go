@@ -12,9 +12,11 @@ import (
 	"repro/internal/sim"
 )
 
-// This file is the wave-free open engine: a deterministic virtual-time
-// frontier that admits arrivals continuously while persistent workers
-// drain the slot arena, with no global barrier anywhere.
+// This file is the engine: a deterministic virtual-time frontier that
+// admits arrivals continuously while persistent workers drain the slot
+// arena, with no global barrier anywhere. Open runs, closed fleets (all
+// arrivals at t = 0), incremental runs and checkpointed runs all drive
+// this one frontier.
 //
 // The engine rests on one load-bearing fact: a stream's trace — its
 // service time Trace.Final included — is a pure function of its Runner.
@@ -22,9 +24,9 @@ import (
 // execution does not have to be sequenced with admission at all; the
 // frontier only needs each admitted stream's Final before it can retire
 // the stream's departure. The serial spec (OpenRunSerial) obtains the
-// Final by running every admission wave to completion — a full barrier
-// per event. The frontier instead tracks, for every in-flight stream, a
-// provable lower bound on its departure:
+// Final by running each admitted stream to completion on the spot. The
+// frontier instead tracks, for every in-flight stream, a provable lower
+// bound on its departure:
 //
 //	bound(k) = admitted(k) + (Cycles−1)·period        (streaming mode)
 //
@@ -41,7 +43,7 @@ import (
 // decisions at any (workers, batch), property-tested against the spec.
 
 // OpenScratch amortizes the continuous open engine's working memory
-// across runs: the slot arena's chunk tables, the frontier's heaps and
+// across runs: the slot arena's chunks, the frontier's heaps and
 // queues, and the per-stream result slabs are all retained and reused,
 // so a steady-state run with a warm scratch performs zero heap
 // allocations end to end (proved by TestOpenSteadyStateAllocationFree).
@@ -208,7 +210,8 @@ type openFrontier struct {
 	tr  *obs.Trace
 }
 
-// openRunContinuous is the wave-free OpenRun/OpenRunStats engine.
+// openRunContinuous is the engine behind OpenRun/OpenRunStats and the
+// closed Run/RunStats.
 func openRunContinuous(cfg OpenConfig, stats bool) (*OpenResult, error) {
 	f, err := frontierForRun(&cfg, stats)
 	if err != nil {
@@ -249,9 +252,9 @@ func frontierForRun(cfg *OpenConfig, stats bool) (*openFrontier, error) {
 // lower bound — shared by newFrontier's layout pass and the live
 // driver's incremental feed so the two can never disagree.
 //
-// Streams that will fail at Bind weigh nothing (they depart the instant
+// Streams that will fail at bind weigh nothing (they depart the instant
 // they are admitted) and carry no bound: their service time is exactly
-// zero and known at admission. The condition is precisely Bind's
+// zero and known at admission. The condition is precisely bind's
 // failure condition — sim.Runner.Validate plus the retain-mode
 // rejection of a caller-set sink. For bindable non-work-conserving
 // streams, each cycle idles to its arrival base, so the final clock is
@@ -273,9 +276,8 @@ func streamWeight(r *sim.Runner, stats bool) (util float64, minFin core.Time) {
 	return util, minFin
 }
 
-// validateOpen is the configuration gate shared by the continuous
-// engine and the serial spec; messages are unchanged from the wave
-// engine so callers' error handling carries over.
+// validateOpen is the configuration gate shared by the engine (open
+// and closed runs alike) and the serial spec.
 func validateOpen(cfg *OpenConfig, stats bool) error {
 	n := len(cfg.Streams)
 	if n == 0 {
@@ -647,7 +649,7 @@ func (f *openFrontier) finish(slot int32) {
 		base := int(k) * f.maxLevels
 		histOut = f.sc.hist[base : base+f.maxLevels]
 	}
-	a.slotTbl[slot].HarvestSlot(int(a.slotIdx[slot]), sr, &f.sc.traces[k], sinkOut, histOut)
+	a.slotTbl[slot].harvestSlot(int(a.slotIdx[slot]), sr, &f.sc.traces[k], sinkOut, histOut)
 	a.release(slot)
 	lc := &f.res.Lifecycles[k]
 	d := lc.Admitted

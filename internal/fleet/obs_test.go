@@ -126,8 +126,11 @@ func TestOpenSerialOrderMetricsDeterministic(t *testing.T) {
 }
 
 // TestClosedObsOnOffIdentical covers the closed fleet path: Config.Obs
-// and Config.Trace must not change results, and the batch counter must
-// account for at least one batch per stream.
+// and Config.Trace must not change results, the batch counter must
+// account for at least one batch per stream, and — the closed fleet
+// being the open engine with every arrival at t = 0 under admit-all —
+// the frontier's serial-order counters must see every stream arrive,
+// be admitted and depart, with nothing delayed or shed.
 func TestClosedObsOnOffIdentical(t *testing.T) {
 	streams := mixedStreams(t, 12, 40, 43)
 	ref, err := RunStats(Config{Streams: streams, Workers: 4, BatchCycles: 8})
@@ -147,5 +150,11 @@ func TestClosedObsOnOffIdentical(t *testing.T) {
 	}
 	if met.Batches.Value() < int64(len(streams)) {
 		t.Fatalf("batches = %d, want at least one per stream (%d)", met.Batches.Value(), len(streams))
+	}
+	n := int64(len(streams))
+	c := snapshotSerialOrder(met)
+	if c.arrivals != n || c.admitted != n || c.departures != n || c.shed != 0 || c.delayed != 0 {
+		t.Fatalf("closed fleet of %d: arrivals %d, admitted %d, departures %d, shed %d, delayed %d",
+			n, c.arrivals, c.admitted, c.departures, c.shed, c.delayed)
 	}
 }

@@ -19,9 +19,9 @@ import (
 // arrival instants, an admission controller, and the scheduler shape.
 // Where the closed Config starts every stream at once and runs the
 // population to completion, the open form drives a virtual-time event
-// loop — streams arrive, are admitted / queued / shed, run, and depart —
-// while every admitted stream still executes on the same shard-affine
-// scheduler as a closed fleet.
+// loop — streams arrive, are admitted / queued / shed, run, and depart.
+// A closed fleet is the special case with every arrival at t = 0 under
+// AdmitAll, and runs on this same engine.
 type OpenConfig struct {
 	// Streams is the arriving population, in arrival-process order.
 	Streams []Stream
@@ -35,6 +35,7 @@ type OpenConfig struct {
 	// Workers and BatchCycles shape the scheduler exactly as in Config.
 	// They change wall-clock time, never results: traces, lifecycles and
 	// admission decisions are byte-identical at any (workers, batch).
+	// The serial spec ignores both.
 	Workers     int
 	BatchCycles int
 	// Lookahead bounds how many admitted-and-ready slots the frontier
@@ -115,34 +116,35 @@ func (r *OpenResult) Err() error {
 // own event processing.
 const DefaultLookahead = 16
 
-// OpenRun executes the open system on the continuous wave-free engine
-// with full traces retained per executed stream. See OpenRunStats for
-// the zero-retention form.
+// OpenRun executes the open system on the engine with full traces
+// retained per executed stream. See OpenRunStats for the zero-retention
+// form.
 func OpenRun(cfg OpenConfig) (*OpenResult, error) {
 	return openRunContinuous(cfg, false)
 }
 
-// OpenRunStats executes the open system on the continuous wave-free
-// engine with one StatsSink per executed stream — the zero-retention
-// shape: slot memory is bounded by the peak concurrency, not the
-// population, and the steady-state hot path stays allocation-free.
+// OpenRunStats executes the open system on the engine with one
+// StatsSink per executed stream — the zero-retention shape: slot memory
+// is bounded by the peak concurrency, not the population, and the
+// steady-state hot path stays allocation-free.
 //
 // The engine: a deterministic virtual-time frontier (frontier.go)
 // decides every admission in the serial spec's exact event order while
 // persistent injection-aware workers (openSched) execute admitted
-// streams in the background — no admission wave, no pool start/join per
-// event, no barrier on wave stragglers. Traces, lifecycles and
-// admission decisions are byte-identical to OpenRunSerial at any
-// (workers, batch), property-tested under -race.
+// streams in the background — no pool start/join per event, no barrier
+// on stragglers. Traces, lifecycles and admission decisions are
+// byte-identical to OpenRunSerial at any (workers, batch),
+// property-tested under -race.
 func OpenRunStats(cfg OpenConfig) (*OpenResult, error) {
 	return openRunContinuous(cfg, true)
 }
 
-// OpenRunSerial is the wave-barrier open engine kept as the executable
-// specification the continuous engine is property-tested against: a
-// serial virtual-time event loop that runs every admission wave to
-// completion on the scheduler before the next event. Results are
-// byte-identical to OpenRun; only wall-clock behaviour differs.
+// OpenRunSerial is the executable specification the engine is
+// property-tested against: a plain virtual-time event loop on the
+// calling goroutine that runs each admitted stream to completion the
+// moment it is admitted. It starts no goroutine and shares no slot
+// arena or executor with the engine. Results are byte-identical to
+// OpenRun; only wall-clock behaviour differs.
 func OpenRunSerial(cfg OpenConfig) (*OpenResult, error) {
 	return openRunSerial(cfg, false)
 }
@@ -188,14 +190,9 @@ func (h *depHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = 
 
 // openRunSerial is the spec's virtual-time event loop. It is serial and
 // deterministic by construction — every admission decision is a pure
-// function of simulated instants — and delegates all stream execution to
-// the shard-affine scheduler in admission waves: the streams admitted at
-// one event instant are bound into (recycled) table slots, drained
-// concurrently, and harvested, which fixes their departure instants
-// before the loop advances to the next event. Concurrency therefore
-// changes wall-clock time only; a fixed arrival seed yields byte-
-// identical traces, lifecycles and admission decisions at any
-// (workers, batch).
+// function of simulated instants — and it runs each admitted stream to
+// completion on the spot (runSerial), which fixes the stream's
+// departure instant before the loop moves on.
 //
 // Event ordering: at one instant, departures are retired first (ties by
 // stream index), the freed capacity is offered to the FIFO backlog, and
@@ -214,12 +211,11 @@ func openRunSerial(cfg OpenConfig, stats bool) (*OpenResult, error) {
 	}
 
 	// Per-stream guaranteed CPU demand for budget policies: the qmin
-	// worst case over the resolved period. Streams that will fail at
-	// Bind — sim.Runner.Validate (the same check InitStream applies) or
-	// the retain-mode rejection of a caller-set sink — weigh nothing:
-	// they depart the instant they are admitted without executing, so
-	// they must not consume budget that same-instant arrivals are
-	// decided against.
+	// worst case over the resolved period. Streams that fail to start —
+	// sim.Runner.Validate or the retain-mode rejection of a caller-set
+	// sink — weigh nothing: they depart the instant they are admitted
+	// without executing, so they must not consume budget that
+	// same-instant arrivals are decided against.
 	util := make([]float64, n)
 	for k := range cfg.Streams {
 		r := &cfg.Streams[k].Runner
@@ -240,7 +236,6 @@ func openRunSerial(cfg OpenConfig, stats bool) (*OpenResult, error) {
 		return cmp.Compare(cfg.Arrivals[a], cfg.Arrivals[b])
 	})
 
-	tbl := newOpenTable(cfg.Streams, stats, cfg.Export)
 	res := &OpenResult{Streams: make([]StreamResult, n)}
 	res.Lifecycles = make([]metrics.Lifecycle, n)
 	for k := range res.Streams {
@@ -251,8 +246,6 @@ func openRunSerial(cfg OpenConfig, stats bool) (*OpenResult, error) {
 	var (
 		dep     depHeap
 		backlog []int
-		wave    []int
-		slots   []int32
 		inServe int
 		cpuLoad float64
 		lastT   = cfg.Arrivals[order[0]]
@@ -260,42 +253,23 @@ func openRunSerial(cfg OpenConfig, stats bool) (*OpenResult, error) {
 	)
 	res.FirstArrival = lastT
 
-	admitStream := func(k int, t core.Time) {
-		res.Lifecycles[k].Admitted = t
+	// admit enters stream k into service at t, runs it to completion and
+	// schedules its departure.
+	admit := func(k int, t core.Time) {
 		inServe++
 		cpuLoad += util[k]
-		wave = append(wave, k)
-	}
-
-	// flush executes one admission wave: bind the admitted streams into
-	// recycled slots, drain them on the scheduler, harvest, and schedule
-	// their departures. Growth happens only here, with every slot free.
-	flush := func() {
-		if len(wave) == 0 {
-			return
+		sr := runSerial(&cfg.Streams[k], k, stats, cfg.Export)
+		res.Streams[k] = sr
+		lc := &res.Lifecycles[k]
+		lc.Admitted = t
+		lc.Departed = t
+		if sr.Err == nil {
+			lc.Departed += sr.Trace.Final
+		} else {
+			lc.Failed = true
 		}
-		tbl.Ensure(len(wave))
-		slots = slots[:0]
-		for _, k := range wave {
-			slots = append(slots, int32(tbl.Bind(&cfg.Streams[k], k)))
-		}
-		tbl.RunSlots(slots, cfg.Workers, cfg.BatchCycles)
-		for i, k := range wave {
-			sr := tbl.Harvest(int(slots[i]))
-			res.Streams[k] = sr
-			d := res.Lifecycles[k].Admitted
-			if sr.Err == nil {
-				d += sr.Trace.Final
-			} else {
-				res.Lifecycles[k].Failed = true
-			}
-			res.Lifecycles[k].Departed = d
-			if d > lastDep {
-				lastDep = d
-			}
-			heap.Push(&dep, departure{t: d, k: k})
-		}
-		wave = wave[:0]
+		lastDep = max(lastDep, lc.Departed)
+		heap.Push(&dep, departure{t: lc.Departed, k: k})
 	}
 
 	// advanceTo integrates the backlog depth over simulated time up to
@@ -308,17 +282,13 @@ func openRunSerial(cfg OpenConfig, stats bool) (*OpenResult, error) {
 	}
 
 	ai := 0
-	for ai < n || dep.Len() > 0 || len(wave) > 0 {
-		flush()
-		tA, tD := core.TimeInf, core.TimeInf
+	for ai < n || dep.Len() > 0 {
+		tA := core.TimeInf
 		if ai < n {
 			tA = cfg.Arrivals[order[ai]]
 		}
-		if dep.Len() > 0 {
-			tD = dep[0].t
-		}
-		if tD <= tA {
-			t := tD
+		if dep.Len() > 0 && dep[0].t <= tA {
+			t := dep[0].t
 			advanceTo(t)
 			for dep.Len() > 0 && dep[0].t == t {
 				d := heap.Pop(&dep).(departure)
@@ -334,7 +304,7 @@ func openRunSerial(cfg OpenConfig, stats bool) (*OpenResult, error) {
 					break
 				}
 				backlog = backlog[1:]
-				admitStream(k, t)
+				admit(k, t)
 			}
 			continue
 		}
@@ -343,16 +313,13 @@ func openRunSerial(cfg OpenConfig, stats bool) (*OpenResult, error) {
 		for ai < n && cfg.Arrivals[order[ai]] == t {
 			k := order[ai]
 			ai++
-			v := adm.Decide(Load{T: t, InService: inServe, Backlog: len(backlog), CPULoad: cpuLoad}, util[k])
-			switch v {
+			switch adm.Decide(Load{T: t, InService: inServe, Backlog: len(backlog), CPULoad: cpuLoad}, util[k]) {
 			case Admit:
-				admitStream(k, t)
+				admit(k, t)
 			case Delay:
 				backlog = append(backlog, k)
 				res.Lifecycles[k].Queued = true
-				if len(backlog) > res.MaxBacklog {
-					res.MaxBacklog = len(backlog)
-				}
+				res.MaxBacklog = max(res.MaxBacklog, len(backlog))
 			default:
 				res.Lifecycles[k].Shed = true
 			}
@@ -380,4 +347,35 @@ func openRunSerial(cfg OpenConfig, stats bool) (*OpenResult, error) {
 	res.End = lastT
 	res.Final = lastDep
 	return res, nil
+}
+
+// runSerial runs a copy of stream k's Runner to completion on the
+// calling goroutine and returns its result in the engine's shape: in
+// stats mode a fresh StatsSink (teed into Export(k, name) when that
+// returns a sink) with an empty histogram read as nil; in retain mode a
+// caller-set sink fails with errPresetSink.
+func runSerial(s *Stream, k int, stats bool, export func(k int, name string) sim.Sink) StreamResult {
+	sr := StreamResult{Name: s.Name}
+	r := s.Runner
+	if stats {
+		levels := 0
+		if r.Sys != nil {
+			levels = r.Sys.NumLevels()
+		}
+		sr.Stats = sim.NewStatsSink(levels)
+		r.Sink = sr.Stats
+		if export != nil {
+			if extra := export(k, s.Name); extra != nil {
+				r.Sink = sim.TeeSink{sr.Stats, extra}
+			}
+		}
+	} else if r.Sink != nil {
+		sr.Err = errPresetSink
+		return sr
+	}
+	sr.Trace, sr.Err = r.Run()
+	if sr.Stats != nil && len(sr.Stats.QualityHist) == 0 {
+		sr.Stats.QualityHist = nil
+	}
+	return sr
 }

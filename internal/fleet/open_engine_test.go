@@ -12,8 +12,8 @@ import (
 )
 
 // skewedStreams builds an open-engine stress population: stream lengths
-// vary by ~an order of magnitude (so shard/steal interleavings are
-// irregular and wave stragglers would be visible), a sprinkling of
+// vary by ~an order of magnitude (so claim/steal interleavings are
+// irregular and stragglers would be visible), a sprinkling of
 // work-conserving streams exercises the frontier's trivial departure
 // bound (forced lock-step resolution), and one invalid stream exercises
 // the zero-service bind-failure path under every policy.
@@ -53,7 +53,7 @@ func compareOpen(t *testing.T, label string, want, got *OpenResult) {
 // acceptance property: for a stress population (streams ≫ workers,
 // skewed lengths, a bind failure, work-conserving members) under every
 // arrival model × admission policy, the wave-free engine reproduces the
-// serial wave spec byte for byte at any (workers, batch) — with one
+// serial spec byte for byte at any (workers, batch) — with one
 // scratch reused across every shape, so stale-state bugs cannot hide.
 func TestOpenContinuousMatchesSerialSpec(t *testing.T) {
 	const n = 36
@@ -94,7 +94,7 @@ func TestOpenContinuousMatchesSerialSpec(t *testing.T) {
 }
 
 // TestOpenRetainedContinuousMatchesSerial covers the full-retention
-// path: record-for-record identical traces between the wave spec and
+// path: record-for-record identical traces between the serial spec and
 // the continuous engine.
 func TestOpenRetainedContinuousMatchesSerial(t *testing.T) {
 	streams := skewedStreams(t, 18, 31)

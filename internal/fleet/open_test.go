@@ -14,17 +14,19 @@ import (
 
 // TestOpenClosedEquivalence is the open system's anchor property: a
 // fixed-period arrival process with every stream arriving at t = 0 under
-// admit-all is exactly the closed fleet, so the open engine must
-// reproduce the closed engine's traces byte for byte at any worker count
-// and batch size.
+// admit-all is exactly the closed fleet — which runs on this engine —
+// so every stream's trace must equal its serial sim.Runner run byte for
+// byte, at any worker count and batch size, and each lifecycle must be
+// the stream's own service time from t = 0.
 func TestOpenClosedEquivalence(t *testing.T) {
 	streams := mixedStreams(t, 9, 4, 17)
-	closed, err := Run(Config{Streams: streams, Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := closed.Err(); err != nil {
-		t.Fatal(err)
+	serial := make([]*sim.Trace, len(streams))
+	for k := range streams {
+		tr, err := streams[k].Runner.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		serial[k] = tr
 	}
 	times, err := arrivals.Fixed{}.Times(len(streams))
 	if err != nil {
@@ -48,12 +50,12 @@ func TestOpenClosedEquivalence(t *testing.T) {
 				shape.workers, shape.batch, open.Admitted, open.Delayed, open.Shed)
 		}
 		for k := range streams {
-			ct, ot := closed.Streams[k].Trace, open.Streams[k].Trace
-			if !reflect.DeepEqual(ct, ot) {
-				t.Fatalf("workers=%d batch=%d: stream %d trace diverged from the closed fleet",
+			st, ot := serial[k], open.Streams[k].Trace
+			if !reflect.DeepEqual(st, ot) {
+				t.Fatalf("workers=%d batch=%d: stream %d trace diverged from the serial runner",
 					shape.workers, shape.batch, k)
 			}
-			if !bytes.Equal(traceBytes(t, ct), traceBytes(t, ot)) {
+			if !bytes.Equal(traceBytes(t, st), traceBytes(t, ot)) {
 				t.Fatalf("workers=%d batch=%d: stream %d trace bytes diverged", shape.workers, shape.batch, k)
 			}
 			lc := open.Lifecycles[k]
@@ -98,7 +100,7 @@ func openProcesses(t *testing.T, n int) map[string][]core.Time {
 // TestOpenDeterminismAcrossWorkersAndBatches is the acceptance property:
 // for every arrival model and every admission policy, a fixed seed
 // produces identical traces, lifecycles and admission decisions at any
-// (workers, BatchCycles). The reference is the serial wave spec
+// (workers, BatchCycles). The reference is the serial spec
 // (OpenRunStatsSerial); the shapes cover both the inline workers = 1
 // engine and the concurrent injection pool.
 func TestOpenDeterminismAcrossWorkersAndBatches(t *testing.T) {
@@ -299,7 +301,7 @@ func TestOpenBadStreamHoldsNoBudget(t *testing.T) {
 	}
 
 	// Same invariant for the other bind-time failure: in retain mode a
-	// caller-set Runner.Sink is rejected at Bind, so it must not hold
+	// caller-set Runner.Sink is rejected at bind, so it must not hold
 	// budget either.
 	streams = mixedStreams(t, 2, 2, 51)
 	streams[0].Runner.Sink = new(sim.TraceSink)

@@ -1,10 +1,15 @@
 package fleet
 
 import (
+	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/arrivals"
 	"repro/internal/core"
+	"repro/internal/regions"
+	"repro/internal/sim"
 )
 
 // TestCompletionRingWrapAround drives one SPSC ring through several
@@ -175,9 +180,9 @@ func TestOpenLookaheadWindowEquivalence(t *testing.T) {
 }
 
 // TestOpenWorkerExtremesStress covers the pool-shape extremes the
-// striped claim and the ring harvest must both survive (run under
-// -race in CI): workers ≫ streams (most workers never own a stripe
-// slot and live off steals and parks) and streams ≫ workers (every
+// range claim and the ring harvest must both survive (run under
+// -race in CI): workers ≫ streams (most workers own an empty range
+// and live off steals and parks) and streams ≫ workers (every
 // ring turns over many times). Both compare to the serial spec.
 func TestOpenWorkerExtremesStress(t *testing.T) {
 	cases := []struct {
@@ -212,4 +217,63 @@ func TestOpenWorkerExtremesStress(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestOpenDrainNoLostWakeup is the regression test for a lost wakeup in
+// the frontier's blocking drain: with the ring check made outside the
+// mutex, a worker's push and its comp.Signal could both land between
+// that check and the wait, and the frontier slept forever. The shape
+// that hit it is a serving load — thousands of short streams arriving
+// faster than they finish under cap-K admission with a backlog, so the
+// frontier blocks on a completion over and over while two workers
+// publish. Each run goes under a watchdog, so a hang fails the test with
+// every goroutine's stack instead of stalling the suite. The loop stops
+// after maxRuns runs or after budget of wall-clock time, whichever
+// comes first; the budget only binds under -race.
+func TestOpenDrainNoLostWakeup(t *testing.T) {
+	const (
+		n        = 2000
+		maxRuns  = 400
+		budget   = 4 * time.Second
+		watchdog = 10 * time.Second
+	)
+	sys := core.RandomSystem(rand.New(rand.NewSource(61)), core.RandomSystemConfig{Actions: 20})
+	mgr := regions.NewSymbolicManager(regions.BuildTDTable(sys))
+	streams := make([]Stream, n)
+	for k := range streams {
+		streams[k] = Stream{
+			Name: "serve",
+			Runner: sim.Runner{
+				Sys:    sys,
+				Mgr:    mgr,
+				Exec:   sim.Content{Sys: sys, NoiseAmp: 0.3, Seed: DeriveSeed(61, k)},
+				Cycles: 1 + k%4,
+			},
+		}
+	}
+	start := time.Now()
+	runs := 0
+	for ; runs < maxRuns && time.Since(start) < budget; runs++ {
+		times, err := arrivals.Poisson{MeanGap: sys.LastDeadline() / 3, Seed: DeriveSeed(67, runs)}.Times(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() {
+			_, err := OpenRunStats(OpenConfig{Streams: streams, Arrivals: times,
+				Admit: CapK{K: 8, Queue: 16}, Workers: 2})
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(watchdog):
+			buf := make([]byte, 1<<20)
+			t.Fatalf("run %d did not finish within %v: the frontier lost a completion wakeup\n%s",
+				runs, watchdog, buf[:runtime.Stack(buf, true)])
+		}
+	}
+	t.Logf("%d runs in %v", runs, time.Since(start).Round(time.Millisecond))
 }

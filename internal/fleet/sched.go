@@ -10,137 +10,12 @@ import (
 )
 
 // DefaultBatchCycles is the number of cycles a worker advances one
-// stream before moving to the next in its shard. 32 cycles of the
+// stream before moving to the next in its range. 32 cycles of the
 // paper's encoder is ≈38k actions — long enough to amortise the switch
-// and keep the manager's tables hot, short enough that shard sweeps
+// and keep the manager's tables hot, short enough that range sweeps
 // revisit every stream's struct-of-arrays state while it is still in
 // cache and that stolen streams migrate at a useful granularity.
 const DefaultBatchCycles = 32
-
-// Per-stream scheduler states. A stream's owner moves it free → claimed
-// → free once per batch; a thief moves it free → stolen exactly once
-// and runs it to completion; the finisher stores done. All transitions
-// go through the atomic status word, so exactly one worker ever
-// advances a given stream at a time and every hand-off is a
-// synchronised publication of the stream's slab state. Claimed is the
-// only transient state — once every live stream is stolen, no stream
-// can ever become claimable again, which is what lets drained workers
-// exit instead of spinning until the last thief finishes.
-const (
-	streamFree int32 = iota
-	streamClaimed
-	streamStolen
-	streamDone
-)
-
-// sched is the fleet's shard-affine run-to-completion scheduler.
-// Persistent workers own disjoint contiguous stream shards and advance
-// each live stream of their shard in BatchCycles-cycle batches —
-// run-to-completion within the batch, no channel round-trip per
-// stream-step, no shared state touched beyond one CAS pair per batch on
-// the stream's own status word. Only when a worker's shard drains does
-// it touch the shared steal counter to scan for leftover work on other
-// shards; a stolen stream is run to completion by the thief. Scheduling
-// order changes wall-clock time, never results: every stream is a
-// serial sim.Stream whatever worker advances it.
-type sched struct {
-	tbl   *StreamTable
-	slots []int32 // the table slots under this run; status is indexed in step
-	batch int
-	met   *obs.FleetMetrics // optional observability (Config.Obs); nil = dark
-	tr    *obs.Trace
-	// status holds one claim word per stream, CASed by whichever worker
-	// advances it.
-	//detlint:atomic
-	status []atomic.Int32
-	_      [cacheLine]byte // keep the dispenser off the slice headers' lines
-	// steal is the shared work-stealing dispenser, touched only by
-	// drained workers.
-	//detlint:atomic
-	steal atomic.Int64
-	_     [cacheLine - 8]byte
-}
-
-// Run advances every stream of the table to completion on the given
-// worker pool (≤ 0 selects GOMAXPROCS, capped at the stream count).
-// batch ≤ 0 selects DefaultBatchCycles.
-func (tbl *StreamTable) Run(workers, batch int) {
-	slots := make([]int32, tbl.Len())
-	for k := range slots {
-		slots[k] = int32(k)
-	}
-	tbl.RunSlots(slots, workers, batch)
-}
-
-// RunSlots drains the given table slots to completion — the open-system
-// entry point: each admission wave hands the scheduler just the slots it
-// bound, so newly arrived streams are injected into the same shard-affine
-// machinery that drains a closed fleet, whatever mix of fresh and
-// recycled slots they landed in.
-func (tbl *StreamTable) RunSlots(slots []int32, workers, batch int) {
-	tbl.runSlots(slots, workers, batch, nil, nil)
-}
-
-// runSlots is RunSlots with the optional observability hooks threaded
-// through — the closed fleet driver passes Config.Obs/.Trace here.
-func (tbl *StreamTable) runSlots(slots []int32, workers, batch int, met *obs.FleetMetrics, tr *obs.Trace) {
-	n := len(slots)
-	if n == 0 {
-		return
-	}
-	if batch <= 0 {
-		batch = DefaultBatchCycles
-	}
-	workers = sim.EffectiveWorkers(n, workers)
-	if workers == 1 {
-		// One worker owns the whole slot set: plain batch sweeps, no
-		// atomics at all. This is also the in-order reference the
-		// concurrent path is property-tested against. The live set is
-		// compacted in place as streams finish, so rounds cost O(live),
-		// not O(n) — with skewed lengths the tail rounds sweep only the
-		// stragglers.
-		live := make([]int32, 0, n)
-		for _, k := range slots {
-			if tbl.errs[k] == nil {
-				live = append(live, k)
-			}
-		}
-		for len(live) > 0 {
-			out := live[:0]
-			for _, k := range live {
-				if met != nil {
-					met.Batches.Inc()
-				}
-				if !advance(&tbl.streams[k], batch) {
-					out = append(out, k)
-				}
-			}
-			live = out
-		}
-		return
-	}
-
-	s := &sched{tbl: tbl, slots: slots, batch: batch, met: met, tr: tr,
-		status: make([]atomic.Int32, n)}
-	for i, k := range slots {
-		if tbl.errs[k] != nil {
-			s.status[i].Store(streamDone)
-		}
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		// Contiguous shards, remainder spread over the first workers,
-		// so shard k's streams are adjacent in every slab.
-		lo := w * n / workers
-		hi := (w + 1) * n / workers
-		go func(w int) {
-			defer wg.Done()
-			s.worker(w, lo, hi)
-		}(w)
-	}
-	wg.Wait()
-}
 
 // advance runs one batch of cycles on st and reports whether the stream
 // has completed.
@@ -153,23 +28,24 @@ func advance(st *sim.Stream, batch int) bool {
 	return st.Done()
 }
 
-// openSched is the continuous open engine's executor: a pool of
-// persistent, injection-aware workers over the slot arena. Where the
-// closed scheduler's workers drain a fixed population and exit, these
-// outlive every stream: the frontier binds arrivals into recycled slots
-// and publishes them ready *while workers run*, and workers harvest
-// nothing themselves — they advance claimed slots in BatchCycles
-// batches and publish completions for the frontier to retire. There is
-// no global barrier anywhere: a wave of one stream no longer costs a
-// pool start/join, and a straggler never idles the pool.
+// openSched is the engine's multi-worker executor — for open runs and
+// closed fleets alike: a pool of persistent, injection-aware workers
+// over the slot arena. Workers outlive every stream: the frontier binds
+// arrivals into recycled slots and publishes them ready *while workers
+// run*, and workers harvest nothing themselves — they advance claimed
+// slots in BatchCycles batches and publish completions for the frontier
+// to retire. There is no global barrier anywhere: a burst of one stream
+// costs no pool start/join, and a straggler never idles the pool.
 //
-// Work discovery is shard-affine in the striped sense: worker w first
-// sweeps its own stripe (slots ≡ w mod workers), and only when the
-// stripe is dry touches the shared steal counter to stagger a full
-// scan over every published slot — the closed scheduler's steal
-// discipline adapted to a slot space that grows mid-run. A worker that
-// finds nothing claimable parks on the bind generation and is woken by
-// the next injection (or shutdown), so an idle pool burns no CPU.
+// Work discovery is shard-affine: worker w first sweeps its own
+// contiguous range [w·n/W, (w+1)·n/W) of the n published slots, and only
+// when that range is dry touches the shared steal counter to stagger a
+// full scan over every published slot. Contiguous ranges keep two
+// workers off neighbouring slots, whose traces, sinks and histogram
+// cells share cache lines and are written on every action. A worker
+// that finds nothing claimable parks on the bind generation and is
+// woken by the next injection (or shutdown), so an idle pool burns no
+// CPU.
 type openSched struct {
 	a       *openArena
 	sc      *OpenScratch
@@ -199,11 +75,16 @@ type openSched struct {
 	steal atomic.Int64
 	_     [cacheLine - 8]byte
 	// compWait is the Dekker flag for the frontier's blocking drain: the
-	// frontier raises it (under mu) before re-walking the rings, and
-	// every worker checks it after publishing. Both sides are seq-cst
-	// store-then-load pairs over (ring tail, compWait), so either the
-	// frontier's walk sees the completion or the worker sees the flag
-	// and signals comp — a wakeup can never be lost.
+	// frontier raises it under mu, then checks the ring cursors and the
+	// overflow count under mu before every comp.Wait; every worker loads
+	// it after publishing. Both sides are seq-cst store-then-load pairs
+	// over (ring tail, compWait), so either the frontier's check sees the
+	// completion or the worker sees the flag — and the worker's signal
+	// takes mu, which the frontier holds from its check until Wait
+	// releases it, so that signal cannot fall between the two. The
+	// emptiness check must stay under mu: a check made with mu released
+	// lets a push and its signal both land before the wait, and the
+	// wakeup is lost.
 	//detlint:atomic
 	compWait atomic.Int32
 	_        [cacheLine - 4]byte
@@ -389,30 +270,28 @@ func (s *openSched) takeOverflow(f *openFrontier) bool {
 // drain retires published completions, blocking until at least one
 // arrives when block is set. The non-blocking pass never takes the
 // mutex unless a ring overflowed; the blocking pass raises compWait and
-// re-walks the rings before every wait, so a publication cannot slip
-// between the check and the sleep (see compWait). The overflow re-check
-// under the lock covers the one publisher that parks instead of
-// pushing: its counter bump happens under mu, so it is visible here.
+// tests for a publication under mu before every wait (see compWait).
 func (s *openSched) drain(f *openFrontier, block bool) {
-	if s.harvest(f) || !block {
-		return
-	}
-	s.mu.Lock()
-	s.compWait.Store(1)
-	for {
-		s.mu.Unlock()
-		got := s.harvest(f)
+	for !s.harvest(f) && block {
 		s.mu.Lock()
-		if got {
-			break
+		s.compWait.Store(1)
+		for !s.published() {
+			s.comp.Wait()
 		}
-		if s.overflow.Load() != 0 {
-			continue // a publisher parked between harvest and lock
-		}
-		s.comp.Wait()
+		s.compWait.Store(0)
+		s.mu.Unlock()
 	}
-	s.compWait.Store(0)
-	s.mu.Unlock()
+}
+
+// published reports whether a completion awaits harvest: a ring with an
+// unconsumed entry, or an overflow-parked worker.
+func (s *openSched) published() bool {
+	for w := range s.rings {
+		if r := &s.rings[w]; r.tail.Load() != r.head.Load() {
+			return true
+		}
+	}
+	return s.overflow.Load() != 0
 }
 
 // publish hands one finished slot to the frontier. The fast path is a
@@ -576,14 +455,15 @@ func (s *openSched) runOpen(w int) {
 	}
 }
 
-// claim finds a ready slot: the worker's own stripe first, then a full
-// steal sweep staggered by the shared counter. The load-before-CAS
-// keeps idle passes read-only on every status cache line.
+// claim finds a ready slot: the worker's own contiguous range first,
+// then a full steal sweep staggered by the shared counter. The
+// load-before-CAS keeps idle passes read-only on every status cache
+// line.
 //
 //detlint:hotpath
 func (s *openSched) claim(w int) (int32, bool) {
 	n := int(s.a.allocated.Load())
-	for i := w; i < n; i += s.workers {
+	for i, hi := w*n/s.workers, (w+1)*n/s.workers; i < hi; i++ {
 		if s.a.status[i].v.Load() == slotReady && s.a.status[i].v.CompareAndSwap(slotReady, slotClaimed) {
 			return int32(i), true
 		}
@@ -606,94 +486,4 @@ func (s *openSched) claim(w int) (int32, bool) {
 		}
 	}
 	return 0, false
-}
-
-// worker drains the shard [lo, hi) and then steals.
-func (s *sched) worker(w, lo, hi int) {
-	// Shard phase: sweep the owned shard in batch rounds. Streams are
-	// claimed per batch, so a drained thief can pick up the remains of
-	// a loaded shard between two of its owner's batches.
-	for {
-		live, progressed := false, false
-		for k := lo; k < hi; k++ {
-			switch s.status[k].Load() {
-			case streamDone:
-				continue
-			case streamStolen: // a thief is on it; it will finish it
-				live = true
-				continue
-			}
-			if !s.status[k].CompareAndSwap(streamFree, streamClaimed) {
-				live = true
-				continue
-			}
-			progressed = true
-			if s.met != nil {
-				s.met.Batches.Inc()
-			}
-			if advance(&s.tbl.streams[s.slots[k]], s.batch) {
-				s.status[k].Store(streamDone)
-			} else {
-				live = true
-				s.status[k].Store(streamFree)
-			}
-		}
-		if !live {
-			break // shard drained
-		}
-		if !progressed {
-			break // everything left is in thieves' hands; go steal elsewhere
-		}
-	}
-
-	// Steal phase: the only place the shared counter is touched — it
-	// staggers where each drained worker starts scanning. Each pass
-	// claims every free stream it finds and runs it to completion. A
-	// stream in the transient claimed state may yet be released by its
-	// owner, so passes repeat while any is seen; once everything left
-	// is stolen or done, nothing can become claimable again and the
-	// worker exits rather than spinning until the last thief finishes.
-	n := len(s.slots)
-	for {
-		stole, transient := false, false
-		start := int(s.steal.Add(1)-1) % n
-		for j := 0; j < n; j++ {
-			k := start + j
-			if k >= n {
-				k -= n
-			}
-			switch s.status[k].Load() {
-			case streamDone, streamStolen:
-				continue
-			case streamClaimed:
-				transient = true
-				continue
-			}
-			if !s.status[k].CompareAndSwap(streamFree, streamStolen) {
-				transient = true // raced with its owner or another thief
-				continue
-			}
-			stole = true
-			if s.met != nil {
-				s.met.Steals.Inc()
-			}
-			s.tr.Rec(obs.EvSteal, obs.NoTime, s.slots[k], int32(w), int64(k))
-			for {
-				if s.met != nil {
-					s.met.Batches.Inc()
-				}
-				if advance(&s.tbl.streams[s.slots[k]], s.batch) {
-					break
-				}
-			}
-			s.status[k].Store(streamDone)
-		}
-		if !stole {
-			if !transient {
-				return // all remaining streams are in terminal hands
-			}
-			// An owner holds a batch claim; be polite until it releases.
-			runtime.Gosched()
-		}
-	}
 }

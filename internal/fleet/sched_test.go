@@ -13,8 +13,9 @@ import (
 )
 
 // hetStreams builds a fleet with deliberately unequal stream lengths so
-// shard durations are skewed and the steal path actually fires: the
-// longest stream is ~an order of magnitude longer than the shortest.
+// the workers' slot ranges take skewed times to drain and the steal path
+// actually fires: the longest stream is ~an order of magnitude longer
+// than the shortest.
 func hetStreams(t *testing.T, n int, baseSeed uint64) []Stream {
 	t.Helper()
 	sys := core.RandomSystem(rand.New(rand.NewSource(21)), core.RandomSystemConfig{Actions: 20, Levels: 4, DeadlineEvery: 3})
@@ -36,11 +37,14 @@ func hetStreams(t *testing.T, n int, baseSeed uint64) []Stream {
 	return streams
 }
 
-// TestQuickFleetInvariantAcrossWorkersAndBatches is the v2 engine's
+// TestQuickFleetInvariantAcrossWorkersAndBatches is the closed fleet's
 // acceptance property: for fuzzed fleets and arbitrary (workers,
 // BatchCycles) settings — including batch 1, batches straddling stream
 // ends and batches far beyond any stream — every trace equals the
-// serial runner's for the same stream, byte for byte.
+// serial runner's for the same stream, byte for byte. At workers > 1 it
+// exercises the open pool's contiguous-range claim and its steal sweep
+// over a slot space that grows chunk by chunk while the fleet is
+// admitted; at workers = 1 the inline executor.
 func TestQuickFleetInvariantAcrossWorkersAndBatches(t *testing.T) {
 	f := func(seed int64, nRaw, wRaw, bRaw uint8) bool {
 		n := int(nRaw%13) + 1
@@ -74,11 +78,12 @@ func TestQuickFleetInvariantAcrossWorkersAndBatches(t *testing.T) {
 	}
 }
 
-// TestFleetWorkStealing oversubscribes the pool with heterogeneous
-// stream lengths (streams ≫ workers, shard durations skewed ~10×) so
-// drained workers must steal from loaded shards mid-run; under -race
-// this is the scheduler's hand-off correctness check. Batch 1 maximises
-// the number of claim/release transitions.
+// TestFleetWorkStealing oversubscribes the open pool with heterogeneous
+// stream lengths (streams ≫ workers, range drain times skewed ~10×) so
+// a worker whose own slot range is dry must steal ready slots from the
+// others' ranges mid-run; under -race this is the claim/steal hand-off
+// correctness check. Batch 1 maximises the number of claim/release
+// transitions.
 func TestFleetWorkStealing(t *testing.T) {
 	streams := hetStreams(t, 160, 7)
 	for _, batch := range []int{1, 3, DefaultBatchCycles} {
@@ -103,36 +108,51 @@ func TestFleetWorkStealing(t *testing.T) {
 }
 
 // TestStreamTableSoALayout: the mutable state the workers sweep must
-// actually live in the table's contiguous slabs — adjacent streams'
-// states and sinks at fixed strides — or the cache-affinity argument is
-// fiction.
+// actually live in an arena chunk's contiguous slabs — adjacent slots'
+// states and sinks at fixed strides, histogram windows partitioning one
+// backing slab — or the cache-affinity argument is fiction.
 func TestStreamTableSoALayout(t *testing.T) {
-	streams := hetStreams(t, 8, 3)
-	tbl, err := NewStreamTable(streams, true, nil)
-	if err != nil {
-		t.Fatal(err)
+	const n = 8
+	streams := hetStreams(t, n, 3)
+	levels := streams[0].Runner.Sys.NumLevels()
+	var a openArena
+	a.reset(n, true, nil, levels)
+	slots := make([]int32, n)
+	for k := range streams {
+		slots[k] = a.bind(&streams[k], k)
 	}
-	if tbl.Len() != 8 {
-		t.Fatalf("table length %d", tbl.Len())
+	if len(a.chunks) != 1 {
+		t.Fatalf("%d streams bound into %d chunks, want one", n, len(a.chunks))
 	}
-	for k := 1; k < 8; k++ {
-		if &tbl.states[k] != &tbl.states[0:8][k] || &tbl.sinks[k] != &tbl.sinks[0:8][k] {
+	c := a.chunks[0]
+	if len(c.streams) != n {
+		t.Fatalf("chunk has %d slots, want %d", len(c.streams), n)
+	}
+	for i := 1; i < n; i++ {
+		if &c.states[i] != &c.states[0:n][i] || &c.sinks[i] != &c.sinks[0:n][i] {
 			t.Fatal("slabs must be single allocations")
 		}
 	}
-	// Histogram windows: contiguous partition of one backing slab.
-	levels := streams[0].Runner.Sys.NumLevels()
-	if len(tbl.hist) != 8*levels {
-		t.Fatalf("hist slab has %d cells, want %d", len(tbl.hist), 8*levels)
+	if len(c.hist) != n*levels {
+		t.Fatalf("hist slab has %d cells, want %d", len(c.hist), n*levels)
 	}
-	tbl.Run(2, 4)
-	for k := 0; k < 8; k++ {
-		total := 0
-		for _, c := range tbl.hist[k*levels : (k+1)*levels] {
-			total += c
+	for k, slot := range slots {
+		if a.slotTbl[slot] != c {
+			t.Fatalf("stream %d bound outside the chunk", k)
 		}
-		if want := tbl.sinks[k].Records; total != want {
-			t.Fatalf("stream %d: slab histogram holds %d records, sink says %d", k, total, want)
+		if err := a.err(slot); err != nil {
+			t.Fatal(err)
+		}
+		for !advance(&c.streams[a.slotIdx[slot]], 4) {
+		}
+	}
+	for i := 0; i < n; i++ {
+		total := 0
+		for _, cell := range c.hist[i*levels : (i+1)*levels] {
+			total += cell
+		}
+		if want := c.sinks[i].Records; total != want || want == 0 {
+			t.Fatalf("slot %d: slab histogram holds %d records, sink says %d", i, total, want)
 		}
 	}
 }

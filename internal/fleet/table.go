@@ -7,229 +7,76 @@ import (
 	"repro/internal/sim"
 )
 
-// StreamTable is the fleet's struct-of-arrays stream store: the mutable
-// per-stream simulation state — clocks and cycle counters (sim.State),
-// trace aggregates (sim.Trace), and in stats mode the StatsSink
-// accumulators and their histograms — lives in contiguous slabs, one
-// entry per stream, instead of N individually heap-allocated objects.
-// A worker sweeping its shard in cycle batches therefore walks arrays
-// in index order and stays in cache; the sim.Stream views in the table
-// are exactly the serial runner's streams, pointed at the slabs, so the
-// SoA layout changes memory behaviour, never results.
-type StreamTable struct {
+// errPresetSink rejects a stream that arrives with a caller-set
+// Runner.Sink on the retaining path: the contract there is retained
+// traces, and a sink would leave Trace.Records empty so downstream
+// aggregation would silently read zeroes. It is a per-stream error,
+// shared by the engine and the serial spec.
+var errPresetSink = errors.New("fleet: stream has a Runner.Sink; Run retains traces — use RunStats for sink-based runs")
+
+// streamChunk is one fixed-size block of the slot arena's
+// struct-of-arrays stream store: the mutable per-slot simulation state
+// — clocks and cycle counters (sim.State), trace aggregates
+// (sim.Trace), and in stats mode the StatsSink accumulators and their
+// histograms — lives in contiguous slabs, one entry per slot, instead
+// of individually heap-allocated objects. A worker sweeping its range
+// of slots therefore walks arrays in index order and stays in cache;
+// the sim.Stream views are exactly the serial runner's streams, pointed
+// at the slabs, so the layout changes memory behaviour, never results.
+type streamChunk struct {
 	names   []string
-	runners []sim.Runner    // per-stream runner configs (copies; sinks rewritten)
-	streams []sim.Stream    // views over the slabs below; invalid where errs[k] != nil
+	runners []sim.Runner    // per-slot runner configs (copies; sinks rewritten)
+	streams []sim.Stream    // views over the slabs below; invalid where errs[i] != nil
 	states  []sim.State     // hot scalars: clock + cycle counter
 	traces  []sim.Trace     // scalar aggregates (and records in retain mode)
-	sinks   []sim.StatsSink // stats mode only; len 0 in retain mode
-	hist    []int           // shared backing slab for the sink histograms
-	errs    []error         // per-stream configuration errors
+	sinks   []sim.StatsSink // stats mode only; nil in retain mode
+	hist    []int           // backing slab of the sink histograms, maxLevels cells per slot
+	errs    []error         // per-slot configuration errors
 
-	// Open-table state (newOpenTable only; zero for closed tables). An
-	// open table's slot count is decoupled from its stream population:
-	// slots are bound at admission, drained by the scheduler, harvested
-	// at departure and recycled for the next admission wave, so the
-	// slab footprint is the peak concurrency, not the total number of
-	// streams that ever pass through the system.
-	stats     bool
-	export    func(k int, name string) sim.Sink
-	maxLevels int   // uniform per-slot histogram window width
-	free      []int // recycled slot stack
-	bound     int   // currently bound slots
+	maxLevels int // uniform per-slot histogram window width
 }
 
-// NewStreamTable validates and lays out the given streams. stats
-// selects the zero-retention shape: every stream gets a StatsSink from
-// the table's contiguous sink slab (replacing any caller-set sink) with
-// its histogram window in one shared int slab. In retain mode streams
-// keep full traces and a caller-set Runner.Sink is a per-stream error,
-// exactly as fleet.Run has always enforced. export, when non-nil,
-// supplies an extra per-stream sink that records are teed into (stats
-// mode only).
-//
-// Configuration errors of individual streams are recorded per stream —
-// one bad stream does not abort the fleet.
-func NewStreamTable(streams []Stream, stats bool, export func(k int, name string) sim.Sink) (*StreamTable, error) {
-	n := len(streams)
-	if n == 0 {
-		return nil, errors.New("fleet: no streams")
-	}
-	tbl := &StreamTable{
-		names:   make([]string, n),
-		runners: make([]sim.Runner, n),
-		streams: make([]sim.Stream, n),
-		states:  make([]sim.State, n),
-		traces:  make([]sim.Trace, n),
-		errs:    make([]error, n),
-	}
-	if stats {
-		tbl.sinks = make([]sim.StatsSink, n)
-		// One histogram slab, one full-capacity window per stream.
-		offs := make([]int, n+1)
-		for k, s := range streams {
-			levels := 0
-			if s.Runner.Sys != nil {
-				levels = s.Runner.Sys.NumLevels()
-			}
-			offs[k+1] = offs[k] + levels
-		}
-		tbl.hist = make([]int, offs[n])
-		for k := range streams {
-			tbl.sinks[k].Init(tbl.hist[offs[k]:offs[k]:offs[k+1]])
-		}
-	}
-	for k := range streams {
-		s := &streams[k]
-		tbl.names[k] = s.Name
-		r := &tbl.runners[k]
-		*r = s.Runner // copy: the table must not mutate the caller's config
-		if stats {
-			var sink sim.Sink = &tbl.sinks[k]
-			if export != nil {
-				if extra := export(k, s.Name); extra != nil {
-					sink = sim.TeeSink{&tbl.sinks[k], extra}
-				}
-			}
-			r.Sink = sink
-		} else if r.Sink != nil {
-			// Run's contract is retained traces; a caller-set sink would
-			// leave Trace.Records empty and downstream aggregation would
-			// silently read zeroes.
-			tbl.errs[k] = errors.New("fleet: stream has a Runner.Sink; Run retains traces — use RunStats for sink-based runs")
-			continue
-		}
-		tbl.errs[k] = r.InitStream(&tbl.streams[k], &tbl.states[k], &tbl.traces[k])
-	}
-	return tbl, nil
-}
-
-// newOpenTable lays out an empty slot table for an open-system run over
-// the given stream population. No slabs are allocated up front: Ensure
-// grows them to the peak admission-wave size, Bind and Harvest recycle
-// slots as streams enter and leave service. stats and export have the
-// same meaning as in NewStreamTable; the histogram slab gives every slot
-// a uniform window wide enough for any stream in the population.
-func newOpenTable(streams []Stream, stats bool, export func(k int, name string) sim.Sink) *StreamTable {
-	tbl := &StreamTable{stats: stats, export: export}
-	if stats {
-		for k := range streams {
-			if sys := streams[k].Runner.Sys; sys != nil && sys.NumLevels() > tbl.maxLevels {
-				tbl.maxLevels = sys.NumLevels()
-			}
-		}
-	}
-	return tbl
-}
-
-// Ensure grows the table to at least c slots. Growth reallocates the
-// slabs, which would invalidate the stream views of bound slots — the
-// open loop only grows between admission waves, when every slot has
-// been harvested, and Ensure enforces that invariant.
-func (tbl *StreamTable) Ensure(c int) {
-	if c <= len(tbl.streams) {
-		return
-	}
-	if tbl.bound != 0 {
-		panic("fleet: growing an open table with bound slots")
-	}
-	tbl.names = make([]string, c)
-	tbl.runners = make([]sim.Runner, c)
-	tbl.streams = make([]sim.Stream, c)
-	tbl.states = make([]sim.State, c)
-	tbl.traces = make([]sim.Trace, c)
-	tbl.errs = make([]error, c)
-	if tbl.stats {
-		tbl.sinks = make([]sim.StatsSink, c)
-		tbl.hist = make([]int, c*tbl.maxLevels)
-	}
-	tbl.free = tbl.free[:0]
-	for slot := c - 1; slot >= 0; slot-- {
-		tbl.free = append(tbl.free, slot)
-	}
-}
-
-// Bind claims a free slot for the stream (Ensure must have provided
-// capacity) and initialises its views over the slabs, exactly as
-// NewStreamTable does for a closed fleet: in stats mode the slot's
+// bindSlot initialises slot i for the stream: in stats mode the slot's
 // StatsSink gets its histogram window of the shared slab (plus any
-// export tee, keyed by the stream's index k in the open population); in
+// export tee, keyed by the stream's index k in the population); in
 // retain mode a caller-set sink is a per-slot error. Configuration
 // errors are recorded in the slot, not returned — the stream still
 // occupies it until harvested, so one bad stream cannot derail the run.
-func (tbl *StreamTable) Bind(s *Stream, k int) int {
-	if len(tbl.free) == 0 {
-		panic("fleet: Bind without a free slot; call Ensure first")
-	}
-	slot := tbl.free[len(tbl.free)-1]
-	tbl.free = tbl.free[:len(tbl.free)-1]
-	tbl.bound++
-	tbl.BindSlot(slot, s, k)
-	return slot
-}
-
-// BindSlot initialises the given slot for the stream without touching
-// the table's own free-slot bookkeeping — the binding core shared by
-// Bind and the continuous engine's openArena, which manages slot
-// recycling across several chunk tables itself. The slot must not be
-// bound or mid-execution. It never allocates on the stats path without
-// an export sink, which is what keeps the continuous open engine's
-// steady state allocation-free.
-func (tbl *StreamTable) BindSlot(slot int, s *Stream, k int) {
-	tbl.names[slot] = s.Name
-	tbl.runners[slot] = s.Runner
-	r := &tbl.runners[slot]
-	if tbl.stats {
-		base := slot * tbl.maxLevels
-		tbl.sinks[slot].Init(tbl.hist[base : base : base+tbl.maxLevels])
-		var sink sim.Sink = &tbl.sinks[slot]
-		if tbl.export != nil {
-			if extra := tbl.export(k, s.Name); extra != nil {
-				sink = sim.TeeSink{&tbl.sinks[slot], extra}
+// The slot must not be bound or mid-execution. It never allocates on
+// the stats path without an export sink, which is what keeps the
+// engine's steady state allocation-free.
+func (c *streamChunk) bindSlot(i int, s *Stream, k int, export func(k int, name string) sim.Sink) {
+	c.names[i] = s.Name
+	c.runners[i] = s.Runner
+	r := &c.runners[i]
+	if c.sinks != nil {
+		base := i * c.maxLevels
+		c.sinks[i].Init(c.hist[base : base : base+c.maxLevels])
+		var sink sim.Sink = &c.sinks[i]
+		if export != nil {
+			if extra := export(k, s.Name); extra != nil {
+				sink = sim.TeeSink{&c.sinks[i], extra}
 			}
 		}
 		r.Sink = sink
 	} else if r.Sink != nil {
-		tbl.errs[slot] = errors.New("fleet: stream has a Runner.Sink; Run retains traces — use RunStats for sink-based runs")
+		c.errs[i] = errPresetSink
 		return
 	}
-	tbl.errs[slot] = r.InitStream(&tbl.streams[slot], &tbl.states[slot], &tbl.traces[slot])
+	c.errs[i] = r.InitStream(&c.streams[i], &c.states[i], &c.traces[i])
 }
 
-// Harvest copies the slot's outcome out of the slabs (the same deep-copy
-// discipline as Result) and recycles the slot for the next admission
-// wave.
-func (tbl *StreamTable) Harvest(slot int) StreamResult {
-	sr := StreamResult{Name: tbl.names[slot], Err: tbl.errs[slot]}
-	if tbl.sinks != nil {
-		s := tbl.sinks[slot]
-		s.QualityHist = append([]int(nil), s.QualityHist...)
-		sr.Stats = &s
-	}
-	if sr.Err == nil {
-		tr := tbl.traces[slot]
-		sr.Trace = &tr
-	}
-	tbl.errs[slot] = nil
-	tbl.free = append(tbl.free, slot)
-	tbl.bound--
-	return sr
-}
-
-// HarvestSlot is the allocation-free form of Harvest: the slot's outcome
-// is copied into caller-owned result cells — trOut for the scalar trace,
-// and in stats mode sinkOut plus a histogram window histOut of at least
-// the table's level width — instead of freshly allocated ones. The copy
-// discipline is identical to Harvest (the result aliases nothing in the
-// slabs; a zero-length histogram copies to nil exactly as Harvest's
-// append does), so results of the two forms are deep-equal. Free-slot
-// bookkeeping is the caller's: the continuous engine's openArena
-// recycles slots across chunk tables itself.
-func (tbl *StreamTable) HarvestSlot(slot int, sr *StreamResult, trOut *sim.Trace, sinkOut *sim.StatsSink, histOut []int) {
-	sr.Name = tbl.names[slot]
-	sr.Err = tbl.errs[slot]
-	if tbl.sinks != nil {
-		*sinkOut = tbl.sinks[slot]
+// harvestSlot copies slot i's outcome into caller-owned result cells —
+// trOut for the scalar trace, and in stats mode sinkOut plus a
+// histogram window histOut of at least the chunk's level width — so the
+// result aliases nothing in the slabs and the harvest allocates
+// nothing. An empty histogram reads as nil. Free-slot bookkeeping is
+// the arena's.
+func (c *streamChunk) harvestSlot(i int, sr *StreamResult, trOut *sim.Trace, sinkOut *sim.StatsSink, histOut []int) {
+	sr.Name = c.names[i]
+	sr.Err = c.errs[i]
+	if c.sinks != nil {
+		*sinkOut = c.sinks[i]
 		if h := sinkOut.QualityHist; len(h) == 0 {
 			sinkOut.QualityHist = nil
 		} else {
@@ -240,16 +87,14 @@ func (tbl *StreamTable) HarvestSlot(slot int, sr *StreamResult, trOut *sim.Trace
 		sr.Stats = sinkOut
 	}
 	if sr.Err == nil {
-		*trOut = tbl.traces[slot]
+		*trOut = c.traces[i]
 		sr.Trace = trOut
 	}
-	tbl.errs[slot] = nil
+	c.errs[i] = nil
 }
 
-// Per-slot scheduler states of the continuous open engine (openArena
-// slots; distinct from the closed scheduler's per-stream states, whose
-// lifecycle has no empty/harvest phases). The frontier moves a slot
-// empty → ready at Bind and done → empty at harvest; workers move it
+// Per-slot scheduler states of the arena. The frontier moves a slot
+// empty → ready at bind and done → empty at harvest; workers move it
 // ready → claimed → ready once per batch and store done when the
 // stream completes. Every transition goes through the slot's atomic
 // status word, so slab publication between the frontier and the workers
@@ -264,16 +109,18 @@ const (
 // cacheLine is the padding unit for the engine's worker-shared hot
 // words. 64 bytes covers every amd64/arm64 part the engine targets;
 // on parts with 128-byte prefetch pairs the residual sharing is
-// between neighbours only, not the whole stripe.
+// between neighbours only.
 const cacheLine = 64
 
-// slotWord is one slot's scheduler status on its own cache line. The
-// status array is scanned stripe-wise — worker w claims slots ≡ w mod
-// workers — so with packed words sixteen workers' CAS traffic would
-// land on each 64-byte line and every claim would ping-pong the line
-// across cores. One word per line trades 60 bytes of padding per slot
-// (slot count is peak concurrency, not population) for contention-free
-// stripe sweeps.
+// slotWord is one slot's scheduler status on its own cache line. Every
+// worker reads the whole status array — its own contiguous range on
+// each claim, all of it on a steal sweep — and the frontier stores
+// ready and empty into it, so with packed words sixteen slots' CAS and
+// store traffic would share each 64-byte line and the two workers
+// owning the ends of neighbouring ranges would ping-pong it across
+// cores. One word per line trades 60 bytes of padding per slot (slot
+// count is peak concurrency, not population) for contention-free
+// sweeps.
 type slotWord struct {
 	// v is the slot's lifecycle word, shared between the frontier and
 	// the workers.
@@ -282,12 +129,11 @@ type slotWord struct {
 	_ [cacheLine - 4]byte
 }
 
-// openArena is the continuous open engine's slot store: a set of
-// fixed-size StreamTable chunks plus flat slot-indirection arrays. The
-// closed-table growth rule (Ensure only with every slot free) cannot
-// hold in a wave-free engine — streams are always mid-flight — so the
-// arena never reallocates a slab: growth appends a fresh chunk, and the
-// views of bound slots stay valid with no quiesce barrier. The heavy
+// openArena is the engine's slot store: a set of fixed-size
+// streamChunk slabs plus flat slot-indirection arrays. Streams are
+// always mid-flight, so the arena never reallocates a slab: growth
+// appends a fresh chunk, and the views of bound slots stay valid with
+// no quiesce barrier. The heavy
 // per-slot slabs (runners, states, traces, sinks, histograms) therefore
 // still track peak concurrency, not the population; only the flat
 // indirection arrays (a pointer and a few words per slot) are
@@ -304,8 +150,8 @@ type openArena struct {
 	export    func(k int, name string) sim.Sink
 	maxLevels int
 
-	chunks     []*StreamTable
-	slotTbl    []*StreamTable // slot → chunk table
+	chunks     []*streamChunk
+	slotTbl    []*streamChunk // slot → chunk
 	slotIdx    []int32        // slot → index within its chunk
 	slotStream []int32        // slot → bound stream index (frontier writes before the ready store)
 	// status holds one cache-line-padded lifecycle word per slot
@@ -325,28 +171,23 @@ const openChunkMin = 8
 // reset prepares the arena for a run over a population of n streams.
 // Chunks from an earlier run with the same slab shape (stats mode and
 // histogram width) are kept and their slots recycled; a shape change
-// drops them. The export hook carries no slab state but is read by
-// BindSlot from each chunk, so retained chunks must have it replaced
-// too — a stale closure would tee records into the previous run's
-// sinks.
+// drops them. The export hook is the arena's, not a chunk's, so a
+// retained chunk can never tee records into a previous run's sinks.
 func (a *openArena) reset(n int, stats bool, export func(int, string) sim.Sink, maxLevels int) {
 	if stats != a.stats || maxLevels != a.maxLevels {
 		a.chunks = nil
 	}
 	a.stats, a.export, a.maxLevels = stats, export, maxLevels
-	for _, c := range a.chunks {
-		c.export = export
-	}
 	total := 0
 	for _, c := range a.chunks {
-		total += c.Len()
+		total += len(c.streams)
 	}
 	want := n
 	if total > want {
 		want = total
 	}
 	if cap(a.slotTbl) < want {
-		a.slotTbl = make([]*StreamTable, want)
+		a.slotTbl = make([]*streamChunk, want)
 		a.slotIdx = make([]int32, want)
 		a.slotStream = make([]int32, want)
 		a.status = make([]slotWord, want)
@@ -360,7 +201,7 @@ func (a *openArena) reset(n int, stats bool, export func(int, string) sim.Sink, 
 	a.free = a.free[:0]
 	slot := 0
 	for _, c := range a.chunks {
-		for i := 0; i < c.Len(); i++ {
+		for i := range c.streams {
 			a.register(slot, c, i)
 			slot++
 		}
@@ -388,7 +229,7 @@ func (a *openArena) ensurePopulation(n int) {
 	if c < openChunkMin {
 		c = openChunkMin
 	}
-	slotTbl := make([]*StreamTable, c)
+	slotTbl := make([]*streamChunk, c)
 	slotIdx := make([]int32, c)
 	slotStream := make([]int32, c)
 	status := make([]slotWord, c)
@@ -404,7 +245,7 @@ func (a *openArena) ensurePopulation(n int) {
 // register wires one chunk slot into the flat arrays and the free stack.
 // Slots above the published allocated count are invisible to workers
 // until the counter advances.
-func (a *openArena) register(slot int, c *StreamTable, i int) {
+func (a *openArena) register(slot int, c *streamChunk, i int) {
 	a.slotTbl[slot] = c
 	a.slotIdx[slot] = int32(i)
 	a.slotStream[slot] = -1
@@ -428,9 +269,19 @@ func (a *openArena) grow() {
 	if size <= 0 {
 		panic("fleet: open arena over population capacity")
 	}
-	c := &StreamTable{stats: a.stats, export: a.export, maxLevels: a.maxLevels}
-	c.Ensure(size)
-	c.free = nil // the arena recycles slots itself
+	c := &streamChunk{
+		names:     make([]string, size),
+		runners:   make([]sim.Runner, size),
+		streams:   make([]sim.Stream, size),
+		states:    make([]sim.State, size),
+		traces:    make([]sim.Trace, size),
+		errs:      make([]error, size),
+		maxLevels: a.maxLevels,
+	}
+	if a.stats {
+		c.sinks = make([]sim.StatsSink, size)
+		c.hist = make([]int, size*a.maxLevels)
+	}
 	a.chunks = append(a.chunks, c)
 	for i := 0; i < size; i++ {
 		a.register(total+i, c, i)
@@ -449,7 +300,7 @@ func (a *openArena) bind(s *Stream, k int) int32 {
 	slot := a.free[len(a.free)-1]
 	a.free = a.free[:len(a.free)-1]
 	a.slotStream[slot] = int32(k)
-	a.slotTbl[slot].BindSlot(int(a.slotIdx[slot]), s, k)
+	a.slotTbl[slot].bindSlot(int(a.slotIdx[slot]), s, k, a.export)
 	return slot
 }
 
@@ -463,39 +314,4 @@ func (a *openArena) release(slot int32) {
 // err reports the slot's bind-time configuration error, if any.
 func (a *openArena) err(slot int32) error {
 	return a.slotTbl[slot].errs[a.slotIdx[slot]]
-}
-
-// Len returns the stream count.
-func (tbl *StreamTable) Len() int { return len(tbl.streams) }
-
-// Stream returns the k-th stream view, or nil when the stream's
-// configuration was rejected.
-func (tbl *StreamTable) Stream(k int) *sim.Stream {
-	if tbl.errs[k] != nil {
-		return nil
-	}
-	return &tbl.streams[k]
-}
-
-// Result assembles the per-stream outcomes in input order. Traces and
-// stats are copied out of the table's slabs (record slices and
-// histograms carry over; histograms are re-backed per stream), so a
-// caller keeping one stream's result does not pin every stream's state
-// for its lifetime.
-func (tbl *StreamTable) Result() *Result {
-	res := &Result{Streams: make([]StreamResult, tbl.Len())}
-	for k := range res.Streams {
-		sr := StreamResult{Name: tbl.names[k], Err: tbl.errs[k]}
-		if tbl.sinks != nil {
-			s := tbl.sinks[k]
-			s.QualityHist = append([]int(nil), s.QualityHist...)
-			sr.Stats = &s
-		}
-		if sr.Err == nil {
-			tr := tbl.traces[k]
-			sr.Trace = &tr
-		}
-		res.Streams[k] = sr
-	}
-	return res
 }

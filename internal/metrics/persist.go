@@ -19,9 +19,9 @@ type FleetDoc struct {
 	Mode    string `json:"mode"`
 	Streams int    `json:"streams"`
 	// Workers is the configured scheduler width (the -workers cap, 0
-	// resolved to GOMAXPROCS), not a concurrency measurement: an open
-	// run executes admission waves that may each use fewer workers.
-	// Results never depend on it either way.
+	// resolved to GOMAXPROCS), not a concurrency measurement: fewer
+	// streams may be in service than there are workers. Results never
+	// depend on it either way.
 	Workers     int    `json:"workers"`
 	BatchCycles int    `json:"batch_cycles"`
 	Cycles      int    `json:"cycles"`

@@ -28,7 +28,7 @@ type FleetMetrics struct {
 
 	// Scheduler (shape-dependent).
 	Batches        *Counter   // cycle batches claimed and advanced by workers
-	Steals         *Counter   // slots claimed outside the worker's own stripe/shard
+	Steals         *Counter   // slots claimed outside the worker's own slot range
 	Parks          *Counter   // workers parked with nothing claimable
 	OverflowParks  *Counter   // workers parked on a full completion ring
 	BlockingDrains *Counter   // frontier blocked on a completion to clear a bound gate
@@ -54,7 +54,7 @@ func NewFleetMetrics(r *Registry) *FleetMetrics {
 		BacklogIntegral: r.FloatGauge("backlog_integral", "Backlog integrated over virtual time (stream·nanoseconds).", SerialOrder),
 
 		Batches:        r.Counter("sched_batches", "Cycle batches claimed and advanced by workers.", ShapeDependent),
-		Steals:         r.Counter("sched_steals", "Slots claimed outside the claiming worker's own stripe or shard.", ShapeDependent),
+		Steals:         r.Counter("sched_steals", "Slots claimed outside the claiming worker's own slot range.", ShapeDependent),
 		Parks:          r.Counter("sched_parks", "Worker park transitions with nothing claimable.", ShapeDependent),
 		OverflowParks:  r.Counter("sched_overflow_parks", "Worker parks on a full completion ring.", ShapeDependent),
 		BlockingDrains: r.Counter("sched_blocking_drains", "Frontier waits for a completion to clear a departure-bound gate.", ShapeDependent),

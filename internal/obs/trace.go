@@ -18,7 +18,7 @@ const (
 	EvShed                        // admission verdict: shed
 	EvBind                        // stream bound to an arena slot (Arg = slot)
 	EvComplete                    // stream service complete (T = departure instant, Arg = slot)
-	EvSteal                       // worker stole a slot from another stripe (Arg = slot)
+	EvSteal                       // worker stole a slot from another worker's range (Arg = slot)
 	EvPark                        // worker parked: no claimable work (Arg = scheduler generation)
 	EvCheckpoint                  // frontier quiesced for a snapshot (Arg = engine event count)
 	EvSwap                        // controller bundle hot swap (Arg = bundle hash low bits)

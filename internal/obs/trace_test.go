@@ -57,8 +57,8 @@ func TestEventKindStrings(t *testing.T) {
 // the viewer depends on fails loudly.
 func TestWriteChromeGolden(t *testing.T) {
 	tr := NewTrace(8)
-	tr.Rec(EvArrive, 1500, 3, NoWorker, 0)     // frontier lane, ts = 1.5µs
-	tr.Rec(EvSteal, NoTime, 5, 2, 9)           // scheduler lane, ts = seq
+	tr.Rec(EvArrive, 1500, 3, NoWorker, 0) // frontier lane, ts = 1.5µs
+	tr.Rec(EvSteal, NoTime, 5, 2, 9)       // scheduler lane, ts = seq
 	tr.Rec(EvCheckpoint, 2000, NoStream, NoWorker, 42)
 	var sb strings.Builder
 	if err := tr.WriteChrome(&sb); err != nil {

@@ -16,10 +16,11 @@ import (
 // results. workers ≤ 0 selects GOMAXPROCS. Dispatch returns when every
 // call has finished.
 //
-// This is the one concurrency primitive of the simulation layer: the
-// parameter sweep, the fleet engine and the multitask group runner all
-// parallelise through it, and each dispatched unit stays a serial
-// simulation.
+// It is the pool for independent units with no arrivals: the parameter
+// sweep (SweepWorkers) and the multitask group runner parallelise
+// through it, and each dispatched unit stays a serial simulation. The
+// fleet engine does not use it; its streams arrive over simulated time
+// and run on the fleet's own worker pool.
 func Dispatch(n, workers int, fn func(i int)) {
 	if n <= 0 {
 		return

@@ -112,9 +112,9 @@ func (r *Runner) Run() (*Trace, error) {
 // clock and the executed-cycle count — everything Step reads and writes
 // besides the trace aggregates. It is split out of Stream so a fleet
 // engine can keep the states of many streams in one contiguous
-// struct-of-arrays slab (see fleet.StreamTable) and a worker sweeping
-// its shard stays in cache instead of pointer-chasing heap objects; a
-// stand-alone Stream simply embeds its own.
+// struct-of-arrays slab (the fleet slot arena's chunks) and a worker
+// sweeping its range of slots stays in cache instead of pointer-chasing
+// heap objects; a stand-alone Stream simply embeds its own.
 type State struct {
 	// T is the stream's virtual clock.
 	T core.Time
