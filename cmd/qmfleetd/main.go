@@ -469,6 +469,9 @@ func (d *daemon) tryResume(eventsPath string) error {
 		log.Printf("resume: no usable snapshot in %s, starting fresh", d.stateDir)
 		return nil
 	}
+	if err := checkMeta(&snap.Meta); err != nil {
+		return fmt.Errorf("resume from %s: %w", path, err)
+	}
 	// Rebind the activation list to retained bundle copies.
 	d.order = d.order[:0]
 	for _, h := range snap.Meta.BundleHashes {
@@ -503,7 +506,7 @@ func (d *daemon) tryResume(eventsPath string) error {
 		}
 		switch ev.Op {
 		case "arrive":
-			if k >= len(d.bundleOf) || int(d.bundleOf[k]) >= len(d.order) {
+			if k >= len(d.bundleOf) {
 				return fmt.Errorf("resume: snapshot records %d stream-bundle bindings, replay found more arrivals", len(d.bundleOf))
 			}
 			b := d.bundles[d.order[d.bundleOf[k]]]
@@ -532,6 +535,23 @@ func (d *daemon) tryResume(eventsPath string) error {
 	d.replayLen.Set(int64(snap.Meta.ArrivalCursor))
 	log.Printf("resumed from %s: %d engine events, %d ingested events, %d streams",
 		path, snap.Capture.Events, d.ingested, len(d.streams))
+	return nil
+}
+
+// checkMeta rejects snapshot metadata that cannot index the bundle
+// activation list: resume needs at least one activation (the active
+// bundle is the last) and a valid activation for every stream. A
+// snapshot passes the CRC and the fingerprint check with such metadata
+// only if its writer was faulty, so it is an error, not a fresh start.
+func checkMeta(m *checkpoint.Meta) error {
+	if len(m.BundleHashes) == 0 {
+		return fmt.Errorf("snapshot records no bundle activations")
+	}
+	for k, b := range m.StreamBundle {
+		if b < 0 || int(b) >= len(m.BundleHashes) {
+			return fmt.Errorf("stream %d is bound to bundle %d of %d recorded activations", k, b, len(m.BundleHashes))
+		}
+	}
 	return nil
 }
 

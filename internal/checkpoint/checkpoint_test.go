@@ -2,19 +2,24 @@ package checkpoint
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/arrivals"
 	"repro/internal/core"
 	"repro/internal/fleet"
+	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -23,7 +28,7 @@ import (
 // admissions, backlog and departures: random systems of three distinct
 // shapes, skewed stream lengths, bursty arrivals, a capacity-capped
 // admitter with a queue.
-func testConfig(t *testing.T, n int, seed uint64) fleet.OpenConfig {
+func testConfig(t testing.TB, n int, seed uint64) fleet.OpenConfig {
 	t.Helper()
 	var systems []*core.System
 	for i := 0; i < 3; i++ {
@@ -56,7 +61,7 @@ func testConfig(t *testing.T, n int, seed uint64) fleet.OpenConfig {
 // captureMidRun runs the config at workers=1 checkpointing every
 // `every` boundaries and returns a capture from the middle of the run
 // (one with both finished and live streams when the run allows it).
-func captureMidRun(t *testing.T, cfg fleet.OpenConfig, every int64) *fleet.OpenCapture {
+func captureMidRun(t testing.TB, cfg fleet.OpenConfig, every int64) *fleet.OpenCapture {
 	t.Helper()
 	c1 := cfg
 	c1.Workers = 1
@@ -435,5 +440,126 @@ func TestKillResumeEndToEnd(t *testing.T) {
 			t.Fatalf("seed %d: resume from %s: %v", seed, path, err)
 		}
 		compareResults(t, fmt.Sprintf("seed %d resume", seed), ref, res)
+	}
+}
+
+// goldenSnapshot is the pinned format input: the first capture of a
+// workers=1 run checkpointing every 2 events that holds both finished
+// and live streams.
+func goldenSnapshot(t testing.TB) *Snapshot {
+	t.Helper()
+	cfg := testConfig(t, 16, 47)
+	cfg.Workers = 1
+	var first *fleet.OpenCapture
+	if _, err := fleet.OpenRunStatsCheckpointed(cfg, nil, 2, func(c *fleet.OpenCapture) error {
+		if first == nil && len(c.Done) > 0 && len(c.Live) > 0 {
+			first = c
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if first == nil || first.Events != 10 {
+		t.Fatalf("golden capture moved: %+v", first)
+	}
+	return &Snapshot{
+		Meta: Meta{
+			Fingerprint:   "golden",
+			ArrivalCursor: first.NextArrival,
+			BundleHashes:  []uint64{0xDEADBEEF, 42},
+			StreamBundle:  []int32{0, 1, 0},
+		},
+		Capture: first,
+	}
+}
+
+// TestSnapshotEncodingGolden pins the version-1 bytes: any change to the
+// encoder that is not a format change must leave them identical.
+func TestSnapshotEncodingGolden(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Encode(&buf, goldenSnapshot(t)); err != nil {
+		t.Fatal(err)
+	}
+	const (
+		wantLen = 2184
+		wantSum = "8466bd82245b12cf16b314f52ee774cd90317b7475d364246161c532f4ef5e6a"
+	)
+	if sum := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); buf.Len() != wantLen || sum != wantSum {
+		t.Fatalf("golden snapshot is %d bytes with SHA-256 %s; want %d bytes with %s", buf.Len(), sum, wantLen, wantSum)
+	}
+}
+
+// TestEncodeAllocatesOnce: Encode sizes the snapshot from the capture
+// and allocates only its one buffer, whatever the capture holds.
+func TestEncodeAllocatesOnce(t *testing.T) {
+	for _, n := range []int{12, 160} {
+		snap := &Snapshot{Meta: Meta{Fingerprint: "allocs"}, Capture: captureMidRun(t, testConfig(t, n, 59), 2)}
+		var buf bytes.Buffer
+		if err := Encode(&buf, snap); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(10, func() { Encode(io.Discard, snap) })
+		t.Logf("Encode of a %d-byte snapshot: %.0f allocations", buf.Len(), allocs)
+		if allocs != 1 {
+			t.Fatalf("Encode of a %d-byte snapshot allocates %.0f times; want 1", buf.Len(), allocs)
+		}
+	}
+}
+
+// wrap frames payload in a valid header — magic, version, length and
+// CRC — so a crafted payload reaches the payload decoder.
+func wrap(payload []byte) []byte {
+	b := make([]byte, headerSize, headerSize+len(payload))
+	copy(b, magic[:])
+	binary.LittleEndian.PutUint32(b[8:], Version)
+	binary.LittleEndian.PutUint64(b[12:], uint64(len(payload)))
+	binary.LittleEndian.PutUint32(b[20:], crc32.ChecksumIEEE(payload))
+	return append(b, payload...)
+}
+
+// TestDecodeRejectsWhatTheInputCannotHold: lengths and counts that
+// declare more than the input carries fail in their usual error class
+// without Decode allocating what they declare, and a bool byte other
+// than 0 or 1 is corrupt, not true.
+func TestDecodeRejectsWhatTheInputCannotHold(t *testing.T) {
+	headerOnly := wrap(nil)
+	binary.LittleEndian.PutUint64(headerOnly[12:], maxPayload)
+
+	// An empty capture's payload ends with its lifecycle, finished and
+	// live counts; the 9-byte fingerprint makes it 153 bytes.
+	one := func(c *fleet.OpenCapture) []byte {
+		var buf bytes.Buffer
+		if err := Encode(&buf, &Snapshot{Meta: Meta{Fingerprint: "oversized"}, Capture: c}); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()[headerSize:]
+	}
+	manyLifecycles := one(&fleet.OpenCapture{})
+	if len(manyLifecycles) != 153 {
+		t.Fatalf("crafted payload is %d bytes, want 153", len(manyLifecycles))
+	}
+	binary.LittleEndian.PutUint64(manyLifecycles[len(manyLifecycles)-3*8:], 1<<24)
+	badBool := one(&fleet.OpenCapture{Lifecycles: make([]metrics.Lifecycle, 1)})
+	badBool[len(badBool)-2*8-3] = 2 // the lifecycle's Queued byte
+
+	for _, tc := range []struct {
+		name  string
+		in    []byte
+		class string
+	}{
+		{"header declaring a 2^31-byte payload", headerOnly, "truncated snapshot"},
+		{"payload declaring 2^24 lifecycles", wrap(manyLifecycles), "corrupt payload"},
+		{"bool byte 2", wrap(badBool), "corrupt payload"},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Decode(bytes.NewReader(tc.in))
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.HasPrefix(err.Error(), "checkpoint: "+tc.class) {
+			t.Errorf("%s: err = %v, want a %q error", tc.name, err, tc.class)
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+			t.Errorf("%s: Decode allocated %d bytes before failing; want under 1 MB", tc.name, d)
+		}
 	}
 }

@@ -16,9 +16,11 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"io/fs"
 	"math"
 
 	"repro/internal/core"
@@ -79,32 +81,83 @@ var magic = [8]byte{'Q', 'M', 'F', 'C', 'K', 'P', 'T', 0}
 // Encode writes s to w in the versioned, CRC-wrapped binary format.
 // Captures are stats-mode by construction; a capture carrying retained
 // records is a caller bug and is rejected rather than silently dropped.
+// The snapshot is sized from the capture, encoded in one pass into one
+// buffer and handed to w in a single Write.
 func Encode(w io.Writer, s *Snapshot) error {
-	if s.Capture == nil {
-		return fmt.Errorf("checkpoint: snapshot without a capture")
+	b, err := appendSnapshot(nil, s)
+	if err != nil {
+		return err
 	}
-	var e enc
+	_, err = w.Write(b)
+	return err
+}
+
+// appendSnapshot encodes s, header and payload, into buf's backing
+// array, replacing its content. The snapshot is sized first, so a buf
+// too small for it is replaced once, before encoding, by one of the
+// exact size. The header is filled in place after the payload, from the
+// bytes actually written.
+func appendSnapshot(buf []byte, s *Snapshot) ([]byte, error) {
+	if s.Capture == nil {
+		return nil, fmt.Errorf("checkpoint: snapshot without a capture")
+	}
+	if n := headerSize + payloadSize(s); cap(buf) < n {
+		buf = make([]byte, 0, n)
+	}
+	e := enc{b: buf[:headerSize]}
 	e.meta(&s.Meta)
 	if err := e.capture(s.Capture); err != nil {
-		return err
+		return nil, err
 	}
-	var hdr [headerSize]byte
-	copy(hdr[:8], magic[:])
-	le32(hdr[8:], Version)
-	le64(hdr[12:], uint64(len(e.b)))
-	le32(hdr[20:], crc32.ChecksumIEEE(e.b))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
+	hdr, payload := e.b[:headerSize], e.b[headerSize:]
+	copy(hdr, magic[:])
+	binary.LittleEndian.PutUint32(hdr[8:], Version)
+	binary.LittleEndian.PutUint64(hdr[12:], uint64(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[20:], crc32.ChecksumIEEE(payload))
+	return e.b, nil
+}
+
+// Encoded sizes. Every integer, float, time and count takes 8 bytes and
+// every bool 1, so a payload's size is a sum over its counts and string
+// lengths. The min* constants are the smallest encoding of one element
+// of each list (its strings and histogram empty); the decoder bounds
+// every declared count by them.
+const (
+	word         = 8
+	traceBytes   = 9 * word  // Manager's length, 8 scalars
+	sinkBytes    = 13 * word // 12 scalars, QualityHist's count
+	minLifecycle = 4*word + 3
+	minDone      = 2*word + traceBytes + sinkBytes
+	minLive      = 3*word + traceBytes + sinkBytes
+	minDep       = 2 * word
+)
+
+// payloadSize returns the exact encoded payload length of s.
+func payloadSize(s *Snapshot) int {
+	m, c := &s.Meta, s.Capture
+	n := word + len(m.Fingerprint) + 3*word + word*(len(m.BundleHashes)+len(m.StreamBundle))
+	n += 9*word + 5*word // scalars; Backlog, Departures, Lifecycles, Done and Live counts
+	n += word*len(c.Backlog) + minDep*len(c.Departures)
+	for i := range c.Lifecycles {
+		n += minLifecycle + len(c.Lifecycles[i].Name)
 	}
-	_, err := w.Write(e.b)
-	return err
+	for i := range c.Done {
+		d := &c.Done[i]
+		n += minDone + len(d.Err) + len(d.Trace.Manager) + word*len(d.Sink.QualityHist)
+	}
+	for i := range c.Live {
+		l := &c.Live[i]
+		n += minLive + len(l.Trace.Manager) + word*len(l.Sink.QualityHist)
+	}
+	return n
 }
 
 // Decode reads one snapshot, verifying magic, version, length and
 // checksum before interpreting a single payload byte. A short read is
 // a truncation error; a checksum mismatch names itself — the two
 // failure classes the store's fallback logic distinguishes from I/O
-// errors.
+// errors. Memory grows with the bytes the input actually holds, never
+// with the lengths and counts it declares.
 func Decode(r io.Reader) (*Snapshot, error) {
 	var hdr [headerSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -113,19 +166,22 @@ func Decode(r io.Reader) (*Snapshot, error) {
 	if !bytes.Equal(hdr[:8], magic[:]) {
 		return nil, fmt.Errorf("checkpoint: bad magic %q", hdr[:8])
 	}
-	if v := rd32(hdr[8:]); v != Version {
+	if v := binary.LittleEndian.Uint32(hdr[8:]); v != Version {
 		return nil, fmt.Errorf("checkpoint: unsupported snapshot version %d (have %d)", v, Version)
 	}
-	n := rd64(hdr[12:])
+	n := binary.LittleEndian.Uint64(hdr[12:])
 	if n > maxPayload {
 		return nil, fmt.Errorf("checkpoint: declared payload of %d bytes exceeds the %d-byte bound", n, maxPayload)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	payload, err := readPayload(r, int64(n))
+	if err == nil && uint64(len(payload)) != n {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
 		return nil, fmt.Errorf("checkpoint: truncated snapshot: want %d payload bytes: %w", n, err)
 	}
-	if sum := crc32.ChecksumIEEE(payload); sum != rd32(hdr[20:]) {
-		return nil, fmt.Errorf("checkpoint: checksum mismatch: payload hashes to %08x, header says %08x", sum, rd32(hdr[20:]))
+	if sum, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(hdr[20:]); sum != want {
+		return nil, fmt.Errorf("checkpoint: checksum mismatch: payload hashes to %08x, header says %08x", sum, want)
 	}
 	d := dec{b: payload}
 	s := &Snapshot{Capture: new(fleet.OpenCapture)}
@@ -140,26 +196,28 @@ func Decode(r io.Reader) (*Snapshot, error) {
 	return s, nil
 }
 
-// enc builds the payload. All integers are little-endian; signed values
-// travel as two's-complement u64; floats as IEEE-754 bits, so restored
-// accumulators are bit-exact.
+// readPayload reads up to the n payload bytes a header declares, growing
+// its buffer only as bytes arrive, so a header declaring more than the
+// input holds never allocates what it declares. A regular file — what
+// the store reads — states its size, which bounds one exact read; this
+// keeps LoadLatest to a single allocation.
+func readPayload(r io.Reader, n int64) ([]byte, error) {
+	if f, ok := r.(interface{ Stat() (fs.FileInfo, error) }); ok {
+		if fi, err := f.Stat(); err == nil && fi.Mode().IsRegular() {
+			b := make([]byte, min(n, fi.Size()))
+			m, err := io.ReadFull(r, b)
+			return b[:m], err
+		}
+	}
+	return io.ReadAll(io.LimitReader(r, n))
+}
+
+// enc appends the payload. All integers are little-endian; signed
+// values travel as two's-complement u64; floats as IEEE-754 bits, so
+// restored accumulators are bit-exact.
 type enc struct{ b []byte }
 
-func le32(b []byte, v uint32) { b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24) }
-func le64(b []byte, v uint64) {
-	le32(b, uint32(v))
-	le32(b[4:], uint32(v>>32))
-}
-func rd32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-func rd64(b []byte) uint64 { return uint64(rd32(b)) | uint64(rd32(b[4:]))<<32 }
-
-func (e *enc) u64(v uint64) {
-	var x [8]byte
-	le64(x[:], v)
-	e.b = append(e.b, x[:]...)
-}
+func (e *enc) u64(v uint64)     { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
 func (e *enc) i64(v int64)      { e.u64(uint64(v)) }
 func (e *enc) int(v int)        { e.i64(int64(v)) }
 func (e *enc) time(t core.Time) { e.i64(int64(t)) }
@@ -287,11 +345,6 @@ type dec struct {
 	err error
 }
 
-// maxCount bounds every declared element count: the CRC already vouches
-// for the bytes, but a logically corrupt writer must not make the
-// reader allocate unbounded slices.
-const maxCount = 1 << 24
-
 func (d *dec) fail(format string, args ...any) {
 	if d.err == nil {
 		d.err = fmt.Errorf("checkpoint: corrupt payload at offset %d: %s", d.off, fmt.Sprintf(format, args...))
@@ -316,7 +369,7 @@ func (d *dec) u64() uint64 {
 	if b == nil {
 		return 0
 	}
-	return rd64(b)
+	return binary.LittleEndian.Uint64(b)
 }
 func (d *dec) i64() int64      { return int64(d.u64()) }
 func (d *dec) int() int        { return int(d.i64()) }
@@ -330,33 +383,44 @@ func (d *dec) i32() int32 {
 	}
 	return int32(v)
 }
+
+// bool accepts only the two bytes the encoder writes, so every accepted
+// payload re-encodes to itself.
 func (d *dec) bool() bool {
 	b := d.take(1)
-	return b != nil && b[0] != 0
+	if b != nil && b[0] > 1 {
+		d.fail("bool byte %d is neither 0 nor 1", b[0])
+	}
+	return b != nil && b[0] == 1
 }
-func (d *dec) count() int {
+
+// count reads a declared element count and rejects one the rest of the
+// payload cannot hold at elem encoded bytes per element, at least: the
+// CRC already vouches for the bytes, but a logically corrupt writer
+// must not make the reader allocate more than the input carries.
+func (d *dec) count(elem int) int {
 	n := d.u64()
-	if n > maxCount {
-		d.fail("element count %d exceeds the %d bound", n, maxCount)
+	if left := uint64(len(d.b) - d.off); n > left/uint64(elem) {
+		d.fail("element count %d needs at least %d bytes each, %d left", n, elem, left)
 		return 0
 	}
 	return int(n)
 }
 func (d *dec) str() string {
-	n := d.count()
+	n := d.count(1)
 	return string(d.take(n))
 }
 
 func (d *dec) meta(m *Meta) {
 	m.Fingerprint = d.str()
 	m.ArrivalCursor = d.int()
-	if n := d.count(); n > 0 {
+	if n := d.count(word); n > 0 {
 		m.BundleHashes = make([]uint64, n)
 		for i := range m.BundleHashes {
 			m.BundleHashes[i] = d.u64()
 		}
 	}
-	if n := d.count(); n > 0 {
+	if n := d.count(word); n > 0 {
 		m.StreamBundle = make([]int32, n)
 		for i := range m.StreamBundle {
 			m.StreamBundle[i] = d.i32()
@@ -374,20 +438,20 @@ func (d *dec) capture(c *fleet.OpenCapture) {
 	c.LastDep = d.time()
 	c.BacklogIntegral = d.f64()
 	c.MaxBacklog = d.int()
-	if n := d.count(); n > 0 {
+	if n := d.count(word); n > 0 {
 		c.Backlog = make([]int32, n)
 		for i := range c.Backlog {
 			c.Backlog[i] = d.i32()
 		}
 	}
-	if n := d.count(); n > 0 {
+	if n := d.count(minDep); n > 0 {
 		c.Departures = make([]fleet.DepEntry, n)
 		for i := range c.Departures {
 			c.Departures[i].T = d.time()
 			c.Departures[i].K = d.i32()
 		}
 	}
-	if n := d.count(); n > 0 {
+	if n := d.count(minLifecycle); n > 0 {
 		c.Lifecycles = make([]metrics.Lifecycle, n)
 		for i := range c.Lifecycles {
 			lc := &c.Lifecycles[i]
@@ -400,7 +464,7 @@ func (d *dec) capture(c *fleet.OpenCapture) {
 			lc.Failed = d.bool()
 		}
 	}
-	if n := d.count(); n > 0 {
+	if n := d.count(minDone); n > 0 {
 		c.Done = make([]fleet.DoneStream, n)
 		for i := range c.Done {
 			dn := &c.Done[i]
@@ -410,7 +474,7 @@ func (d *dec) capture(c *fleet.OpenCapture) {
 			d.sink(&dn.Sink)
 		}
 	}
-	if n := d.count(); n > 0 {
+	if n := d.count(minLive); n > 0 {
 		c.Live = make([]fleet.LiveSlot, n)
 		for i := range c.Live {
 			l := &c.Live[i]
@@ -443,7 +507,7 @@ func (d *dec) sink(s *sim.SinkState) {
 	s.TotalExec = d.time()
 	s.TotalOverhead = d.time()
 	s.QualitySum = d.f64()
-	if n := d.count(); n > 0 {
+	if n := d.count(word); n > 0 {
 		s.QualityHist = make([]int, n)
 		for i := range s.QualityHist {
 			s.QualityHist[i] = d.int()

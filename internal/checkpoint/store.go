@@ -125,19 +125,10 @@ type Store struct {
 	// written and pruned, bytes encoded, encode latency, LoadLatest
 	// fallbacks. nil disables instrumentation.
 	Met *obs.CheckpointMetrics
-}
 
-// countingWriter tallies the bytes reaching the underlying writer, so
-// Save can report snapshot sizes without buffering the encoding.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n += int64(n)
-	return n, err
+	// buf holds the last snapshot Save encoded; the next Save encodes
+	// into it, growing it only when a snapshot outgrows it.
+	buf []byte
 }
 
 func (st *Store) logf(format string, args ...any) {
@@ -153,25 +144,29 @@ func (st *Store) Path(events int64) string {
 }
 
 // Save atomically persists one snapshot and prunes beyond Keep,
-// returning the written path.
+// returning the written path. The snapshot is encoded into a buffer the
+// store keeps across saves, so a Store must not Save from two
+// goroutines at once.
 func (st *Store) Save(s *Snapshot) (string, error) {
 	path := st.Path(s.Events())
 	var start int64
 	if m := st.Met; m != nil && m.NowNanos != nil {
 		start = m.NowNanos()
 	}
-	var written int64
-	if err := WriteAtomic(path, func(w io.Writer) error {
-		cw := &countingWriter{w: w}
-		err := Encode(cw, s)
-		written = cw.n
-		return err
-	}); err != nil {
+	b, err := appendSnapshot(st.buf, s)
+	if err == nil {
+		st.buf = b
+		err = WriteAtomic(path, func(w io.Writer) error {
+			_, err := w.Write(b)
+			return err
+		})
+	}
+	if err != nil {
 		return "", fmt.Errorf("checkpoint: save %s: %w", path, err)
 	}
 	if m := st.Met; m != nil {
 		m.Snapshots.Inc()
-		m.Bytes.Add(written)
+		m.Bytes.Add(int64(len(b)))
 		if m.NowNanos != nil {
 			m.Encode.Observe(m.NowNanos() - start)
 		}

@@ -113,8 +113,35 @@ func (f *openFrontier) checkpoint() *OpenCapture {
 
 // capture deep-copies the paused frontier. The executor must be
 // quiescent with all completions drained: every slot is then empty or
-// parked at a batch boundary, so the slab reads below race nothing.
+// parked at a batch boundary, so the slab reads below race nothing, and
+// a first pass can count the finished streams, the ready slots and
+// their histogram cells that the copy pass then sees unchanged. Every
+// slice of the capture is allocated once at its exact length, and all
+// exported histograms share one slab.
 func (f *openFrontier) capture() *OpenCapture {
+	a := f.arena
+	slots := int(a.allocated.Load())
+	nDone, nLive, cells := 0, 0, 0
+	for k := 0; k < f.n; k++ {
+		if f.final[k] {
+			nDone++
+			cells += len(f.sc.stats[k].QualityHist)
+		}
+	}
+	for slot := 0; slot < slots; slot++ {
+		if a.status[slot].v.Load() == slotReady {
+			nLive++
+			cells += len(a.slotTbl[slot].sinks[a.slotIdx[slot]].QualityHist)
+		}
+	}
+	hist := make([]int, cells)
+	state := func(s *sim.StatsSink) sim.SinkState {
+		n := len(s.QualityHist)
+		st := s.StateInto(hist[:0:n])
+		hist = hist[n:]
+		return st
+	}
+
 	c := &OpenCapture{
 		Events:       f.events,
 		NextArrival:  f.ai,
@@ -140,11 +167,14 @@ func (f *openFrontier) capture() *OpenCapture {
 			c.Departures[i] = DepEntry{T: e.t, K: e.k}
 		}
 	}
+	if nDone > 0 {
+		c.Done = make([]DoneStream, 0, nDone)
+	}
 	for k := 0; k < f.n; k++ {
 		if !f.final[k] {
 			continue
 		}
-		d := DoneStream{K: int32(k), Sink: f.sc.stats[k].State()}
+		d := DoneStream{K: int32(k), Sink: state(&f.sc.stats[k])}
 		if err := f.res.Streams[k].Err; err != nil {
 			d.Err = err.Error()
 		} else {
@@ -152,8 +182,10 @@ func (f *openFrontier) capture() *OpenCapture {
 		}
 		c.Done = append(c.Done, d)
 	}
-	a := f.arena
-	for slot, n := 0, int(a.allocated.Load()); slot < n; slot++ {
+	if nLive > 0 {
+		c.Live = make([]LiveSlot, 0, nLive)
+	}
+	for slot := 0; slot < slots; slot++ {
 		if a.status[slot].v.Load() != slotReady {
 			continue
 		}
@@ -162,7 +194,7 @@ func (f *openFrontier) capture() *OpenCapture {
 			K:     a.slotStream[slot],
 			State: tbl.states[idx],
 			Trace: tbl.traces[idx],
-			Sink:  tbl.sinks[idx].State(),
+			Sink:  state(&tbl.sinks[idx]),
 		})
 	}
 	return c

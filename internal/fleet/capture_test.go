@@ -358,3 +358,47 @@ func TestOpenLiveValidation(t *testing.T) {
 		t.Fatalf("empty Close: %v", err)
 	}
 }
+
+// TestOpenLiveCheckpointAllocsFlat: a capture allocates each of its
+// slices once at its exact length, with every exported histogram carved
+// out of one slab, so Checkpoint's allocation count does not grow with
+// the number of finished streams it copies. The carved histograms must
+// still be independent: appending to one cannot reach its neighbour.
+func TestOpenLiveCheckpointAllocsFlat(t *testing.T) {
+	const n = 49
+	streams := mixedStreams(t, n, 2, 97)
+	live := NewOpenLive(OpenLiveConfig{Workers: 1, MaxLevels: maxLevelsOf(streams)})
+	defer live.Abort()
+	var allocs []float64
+	k := 0
+	for _, finished := range []int{12, 48} {
+		// Arrivals one second apart: each stream departs long before the
+		// next arrives, and feeding stream k settles every earlier event.
+		for ; k <= finished; k++ {
+			if err := live.Feed(streams[k], core.Time(k)*core.Second); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c, err := live.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(c.Done) != finished {
+			t.Fatalf("capture holds %d finished streams, want %d", len(c.Done), finished)
+		}
+		want := append([]int(nil), c.Done[1].Sink.QualityHist...)
+		c.Done[0].Sink.QualityHist = append(c.Done[0].Sink.QualityHist, -1)
+		if !reflect.DeepEqual(c.Done[1].Sink.QualityHist, want) {
+			t.Fatal("appending to one captured histogram overwrote its neighbour")
+		}
+		allocs = append(allocs, testing.AllocsPerRun(10, func() {
+			if _, err := live.Checkpoint(); err != nil {
+				panic(err)
+			}
+		}))
+	}
+	t.Logf("Checkpoint allocations with 12 and 48 finished streams: %v", allocs)
+	if allocs[1] != allocs[0] {
+		t.Fatalf("Checkpoint allocates %.0f times with 12 finished streams and %.0f with 48; want no growth", allocs[0], allocs[1])
+	}
+}

@@ -156,13 +156,25 @@ type SinkState struct {
 
 // State exports the sink's full accumulator state. The histogram is
 // copied, so the state does not alias the live sink.
-func (s *StatsSink) State() SinkState {
+func (s *StatsSink) State() SinkState { return s.StateInto(nil) }
+
+// StateInto is State with the histogram copied into hist[:0]: the copy
+// lands in hist's backing array when its capacity allows and is
+// allocated otherwise, so a caller exporting many sinks can carve every
+// histogram out of one slab (pass a three-index window, hist[a:a:b], so
+// an append on one exported state cannot overwrite its neighbour). An
+// empty histogram exports as nil.
+func (s *StatsSink) StateInto(hist []int) SinkState {
+	hist = append(hist[:0], s.QualityHist...)
+	if len(hist) == 0 {
+		hist = nil
+	}
 	return SinkState{
 		Records: s.Records, Decisions: s.Decisions, Misses: s.Misses,
 		DeadlineRecords: s.DeadlineRecords,
 		TotalExec:       s.TotalExec, TotalOverhead: s.TotalOverhead,
 		QualitySum:  s.QualitySum,
-		QualityHist: append([]int(nil), s.QualityHist...),
+		QualityHist: hist,
 		Switches:    s.Switches, AbsDeltaSum: s.AbsDeltaSum,
 		MinQ: s.minQ, MaxQ: s.maxQ, LastQ: s.lastQ,
 	}
