@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"io/fs"
 	"math"
 
 	"repro/internal/core"
@@ -84,7 +83,7 @@ var magic = [8]byte{'Q', 'M', 'F', 'C', 'K', 'P', 'T', 0}
 // The snapshot is sized from the capture, encoded in one pass into one
 // buffer and handed to w in a single Write.
 func Encode(w io.Writer, s *Snapshot) error {
-	b, err := appendSnapshot(nil, s)
+	b, err := encodeSnapshot(s)
 	if err != nil {
 		return err
 	}
@@ -92,19 +91,14 @@ func Encode(w io.Writer, s *Snapshot) error {
 	return err
 }
 
-// appendSnapshot encodes s, header and payload, into buf's backing
-// array, replacing its content. The snapshot is sized first, so a buf
-// too small for it is replaced once, before encoding, by one of the
-// exact size. The header is filled in place after the payload, from the
-// bytes actually written.
-func appendSnapshot(buf []byte, s *Snapshot) ([]byte, error) {
+// encodeSnapshot returns s encoded, header and payload, in one buffer
+// allocated at its exact size. The header is filled in place after the
+// payload, from the bytes actually written.
+func encodeSnapshot(s *Snapshot) ([]byte, error) {
 	if s.Capture == nil {
 		return nil, fmt.Errorf("checkpoint: snapshot without a capture")
 	}
-	if n := headerSize + payloadSize(s); cap(buf) < n {
-		buf = make([]byte, 0, n)
-	}
-	e := enc{b: buf[:headerSize]}
+	e := enc{b: make([]byte, headerSize, headerSize+payloadSize(s))}
 	e.meta(&s.Meta)
 	if err := e.capture(s.Capture); err != nil {
 		return nil, err
@@ -173,10 +167,7 @@ func Decode(r io.Reader) (*Snapshot, error) {
 	if n > maxPayload {
 		return nil, fmt.Errorf("checkpoint: declared payload of %d bytes exceeds the %d-byte bound", n, maxPayload)
 	}
-	payload, err := readPayload(r, int64(n))
-	if err == nil && uint64(len(payload)) != n {
-		err = io.ErrUnexpectedEOF
-	}
+	payload, err := readPayload(r, int(n))
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: truncated snapshot: want %d payload bytes: %w", n, err)
 	}
@@ -196,20 +187,29 @@ func Decode(r io.Reader) (*Snapshot, error) {
 	return s, nil
 }
 
-// readPayload reads up to the n payload bytes a header declares, growing
-// its buffer only as bytes arrive, so a header declaring more than the
-// input holds never allocates what it declares. A regular file — what
-// the store reads — states its size, which bounds one exact read; this
-// keeps LoadLatest to a single allocation.
-func readPayload(r io.Reader, n int64) ([]byte, error) {
-	if f, ok := r.(interface{ Stat() (fs.FileInfo, error) }); ok {
-		if fi, err := f.Stat(); err == nil && fi.Mode().IsRegular() {
-			b := make([]byte, min(n, fi.Size()))
-			m, err := io.ReadFull(r, b)
-			return b[:m], err
+// firstRead is the payload buffer's initial size; readPayload doubles
+// it each time it fills, up to the declared length.
+const firstRead = 64 << 10
+
+// readPayload reads the n payload bytes a header declares. Its buffer
+// starts at firstRead and at most doubles per round, so memory tracks
+// the bytes that actually arrive, never what a corrupt header declares.
+// A short input is io.ErrUnexpectedEOF, or io.EOF if it holds no
+// payload byte at all.
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	b := make([]byte, min(n, firstRead))
+	off := 0
+	for {
+		m, err := io.ReadFull(r, b[off:])
+		off += m
+		if err == io.EOF && off > 0 {
+			err = io.ErrUnexpectedEOF
 		}
+		if err != nil || off == n {
+			return b[:off], err
+		}
+		b = append(b, make([]byte, min(n-off, off))...)
 	}
-	return io.ReadAll(io.LimitReader(r, n))
 }
 
 // enc appends the payload. All integers are little-endian; signed

@@ -125,10 +125,6 @@ type Store struct {
 	// written and pruned, bytes encoded, encode latency, LoadLatest
 	// fallbacks. nil disables instrumentation.
 	Met *obs.CheckpointMetrics
-
-	// buf holds the last snapshot Save encoded; the next Save encodes
-	// into it, growing it only when a snapshot outgrows it.
-	buf []byte
 }
 
 func (st *Store) logf(format string, args ...any) {
@@ -144,18 +140,16 @@ func (st *Store) Path(events int64) string {
 }
 
 // Save atomically persists one snapshot and prunes beyond Keep,
-// returning the written path. The snapshot is encoded into a buffer the
-// store keeps across saves, so a Store must not Save from two
-// goroutines at once.
+// returning the written path. The snapshot is encoded into one buffer
+// of its exact size, which is written in a single Write.
 func (st *Store) Save(s *Snapshot) (string, error) {
 	path := st.Path(s.Events())
 	var start int64
 	if m := st.Met; m != nil && m.NowNanos != nil {
 		start = m.NowNanos()
 	}
-	b, err := appendSnapshot(st.buf, s)
+	b, err := encodeSnapshot(s)
 	if err == nil {
-		st.buf = b
 		err = WriteAtomic(path, func(w io.Writer) error {
 			_, err := w.Write(b)
 			return err
