@@ -2,29 +2,19 @@
 // (internal/analysis): nondeterminism, rngdiscipline, hotpathalloc,
 // atomicdiscipline, and the directive validator.
 //
-// It has two modes:
-//
-//   - Standalone: `detlint ./...` loads the named packages from source
-//     (offline, stdlib importer) and prints findings. Exit 0 clean,
-//     1 findings, 2 operational error.
-//
-//   - Vet tool: `go vet -vettool=$(command -v detlint) ./...`. The go
-//     command drives the tool with the unitchecker protocol — probe it
-//     with -V=full and -flags, then invoke it once per package with a
-//     vet.cfg describing the file set and the export data of every
-//     dependency, expecting a facts (vetx) output file and exit 2 when
-//     findings are reported.
+// It is a vet tool: `go vet -vettool=$(command -v detlint) ./...`. The
+// go command drives it with the unitchecker protocol — probe it with
+// -V=full and -flags, then invoke it once per package with a vet.cfg
+// describing the file set and the export data of every dependency,
+// expecting a facts (vetx) output file and exit 2 when findings are
+// reported.
 package main
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
-	"go/ast"
 	"go/importer"
-	"go/parser"
 	"go/token"
-	"go/types"
 	"io"
 	"os"
 	"strings"
@@ -54,59 +44,8 @@ func run(args []string) int {
 	if n := len(args); n > 0 && strings.HasSuffix(args[n-1], ".cfg") {
 		return runVetConfig(args[n-1])
 	}
-	return runStandalone(args)
-}
-
-// runStandalone loads packages from source and reports to stdout.
-func runStandalone(args []string) int {
-	fs := flag.NewFlagSet("detlint", flag.ContinueOnError)
-	docs := fs.Bool("doc", false, "print the suite's analyzers and exit")
-	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: detlint [-doc] [packages]")
-		fs.PrintDefaults()
-	}
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if *docs {
-		for _, a := range analysis.All() {
-			fmt.Printf("%-18s %s\n", a.Name, a.Doc)
-		}
-		return 0
-	}
-	patterns := fs.Args()
-	if len(patterns) == 0 {
-		patterns = []string{"."}
-	}
-	wd, err := os.Getwd()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "detlint:", err)
-		return 2
-	}
-	pkgs, err := analysis.Load(wd, patterns)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "detlint:", err)
-		return 2
-	}
-	found := false
-	for _, pkg := range pkgs {
-		diags, err := analysis.Run(pkg, analysis.All())
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "detlint:", err)
-			return 2
-		}
-		for _, d := range diags {
-			if d.Suppressed {
-				continue
-			}
-			found = true
-			fmt.Printf("%s: %s: %s\n", d.Pos, d.Analyzer, d.Message)
-		}
-	}
-	if found {
-		return 1
-	}
-	return 0
+	fmt.Fprintln(os.Stderr, "usage: go vet -vettool=$(command -v detlint) [packages]")
+	return 2
 }
 
 // vetConfig is the JSON the go command hands a -vettool per package —
@@ -126,7 +65,6 @@ type vetConfig struct {
 	// cross-package facts, so these are answered with an empty file.
 	VetxOnly                  bool
 	VetxOutput                string
-	GoVersion                 string
 	SucceedOnTypecheckFailure bool
 }
 
@@ -154,20 +92,6 @@ func runVetConfig(cfgPath string) int {
 		return 0
 	}
 
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			if cfg.SucceedOnTypecheckFailure {
-				return 0
-			}
-			fmt.Fprintln(os.Stderr, "detlint:", err)
-			return 2
-		}
-		files = append(files, f)
-	}
-
 	// Imports resolve through the export data the go command already
 	// built: source import path → canonical path → .a file.
 	lookup := func(path string) (io.ReadCloser, error) {
@@ -180,27 +104,14 @@ func runVetConfig(cfgPath string) int {
 		}
 		return os.Open(file)
 	}
-	info := analysis.NewInfo()
-	conf := types.Config{
-		Importer:    importer.ForCompiler(fset, "gc", lookup),
-		GoVersion:   cfg.GoVersion,
-		FakeImportC: true,
-	}
-	tpkg, err := conf.Check(analysis.TrimVariant(cfg.ImportPath), fset, files, info)
+	fset := token.NewFileSet()
+	pkg, err := analysis.CheckFiles(cfg.ImportPath, fset, cfg.GoFiles, importer.ForCompiler(fset, "gc", lookup))
 	if err != nil {
 		if cfg.SucceedOnTypecheckFailure {
 			return 0
 		}
 		fmt.Fprintln(os.Stderr, "detlint:", err)
 		return 2
-	}
-
-	pkg := &analysis.Package{
-		Path:  cfg.ImportPath,
-		Fset:  fset,
-		Files: files,
-		Types: tpkg,
-		Info:  info,
 	}
 	diags, err := analysis.Run(pkg, analysis.All())
 	if err != nil {

@@ -51,8 +51,8 @@
 // is logged and skipped in favour of its predecessor — replays the
 // consumed prefix of the event file against the recorded per-stream
 // bundles, and continues. -kill-after N exits with code 3 after
-// ingesting N lines (checkpoint first), the deterministic crash the CI
-// kill/resume smoke test drives.
+// ingesting N lines (checkpoint first), the deterministic crash the
+// kill/resume checks drive.
 package main
 
 import (
@@ -110,9 +110,9 @@ type observables struct {
 // daemon carries the serving state threaded through ingest, replay,
 // checkpointing and shutdown.
 type daemon struct {
+	cfg      config
 	live     *fleet.OpenLive
-	manager  string
-	noise    float64
+	opt      fleet.Options // stream construction; Cycles is set per arrival
 	stateDir string
 	store    *checkpoint.Store
 	fp       string
@@ -122,11 +122,8 @@ type daemon struct {
 	active   *controller.Bundle
 	activeH  uint64
 	swaps    int
-	ingested int // input lines consumed (the checkpoint cursor)
-
-	streams   []fleet.Stream
-	arrivalsT []core.Time
-	bundleOf  []int32 // per stream: index into order
+	ingested int     // input lines consumed (the checkpoint cursor)
+	bundleOf []int32 // per fed stream: index into order
 
 	lastCkpt    int64
 	lastCkptErr string
@@ -142,6 +139,32 @@ type daemon struct {
 	replayLen *obs.Gauge
 	tr        *obs.Trace
 }
+
+// config is everything that shapes a daemon: qmfleetd's flags less the
+// process concerns main keeps (HTTP, signals, linger, exit codes).
+type config struct {
+	bundle    string // startup bundle
+	events    string // event file, named in the report
+	state     string // checkpoint directory ("" = no snapshots)
+	manager   string
+	admit     fleet.Admitter
+	workers   int
+	batch     int
+	lookahead int
+	maxLevels int // 0 = the startup bundle's level count
+	noise     float64
+	trace     bool
+}
+
+// Why serve returned.
+const (
+	drained  = iota // the event stream ended
+	signaled        // a signal arrived; checkpointed first
+	killed          // the -kill-after line was ingested; checkpointed first
+)
+
+// maxEventLine bounds one NDJSON line; a longer one fails the read.
+const maxEventLine = 1 << 20
 
 func main() {
 	log.SetFlags(0)
@@ -181,51 +204,22 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	d := &daemon{
-		manager:  *manager,
-		noise:    *noise,
-		stateDir: *stateDir,
-		bundles:  map[uint64]*controller.Bundle{},
-	}
-	d.reg = obs.NewRegistry("qmfleetd")
-	d.met = obs.NewFleetMetrics(d.reg)
-	cmet := obs.NewCheckpointMetrics(d.reg, func() int64 { return time.Now().UnixNano() })
-	d.ingestEv = d.reg.Counter("ingest_events", "NDJSON input events ingested.", obs.SerialOrder)
-	d.swapEv = d.reg.Counter("bundle_swaps", "Hot controller-bundle swaps applied.", obs.SerialOrder)
-	d.replayLen = d.reg.Gauge("resume_replay_events", "Event-file lines replayed by the last resume.", obs.SerialOrder)
-	if *tracePath != "" {
-		d.tr = obs.NewTrace(1 << 16)
-	}
-	if *stateDir != "" {
-		if err := os.MkdirAll(*stateDir, 0o755); err != nil {
-			log.Fatal(err)
-		}
-		d.store = &checkpoint.Store{Dir: *stateDir, Logf: log.Printf, Met: cmet}
-	}
-
-	boot, bootHash, err := d.loadBundle(*bundlePath)
+	d, err := newDaemon(config{
+		bundle: *bundlePath, events: *eventsPath, state: *stateDir,
+		manager: *manager, admit: admit, workers: *workers, batch: *batch, lookahead: *lookahead,
+		maxLevels: *maxLevels, noise: *noise, trace: *tracePath != "",
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	d.activate(boot, bootHash)
-	levels := *maxLevels
-	if levels == 0 {
-		levels = boot.System().NumLevels()
+	f, err := os.Open(*eventsPath)
+	if err != nil {
+		log.Fatal(err)
 	}
-	// The fingerprint covers everything that shapes results except the
-	// scheduler (workers/batch change wall-clock only) and the bundles
-	// (recorded per stream in the snapshot metadata).
-	d.fp = checkpoint.Fingerprint("qmfleetd", *manager, admit.Name(),
-		strconv.Itoa(levels), strconv.FormatFloat(*noise, 'g', -1, 64))
-
-	d.live = fleet.NewOpenLive(fleet.OpenLiveConfig{
-		Admit: admit, Workers: *workers, BatchCycles: *batch, Lookahead: *lookahead, MaxLevels: levels,
-		Obs: d.met, Trace: d.tr,
-	})
-
+	defer f.Close()
+	sc := newEventScanner(f)
 	if *resume {
-		if err := d.tryResume(*eventsPath); err != nil {
+		if err := d.tryResume(sc); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -236,50 +230,26 @@ func main() {
 	}
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
-
-	f, err := os.Open(*eventsPath)
+	end, err := d.serve(sc, *every, *killAfter, sig)
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		if line <= d.ingested {
-			continue // replayed from the snapshot
-		}
-		select {
-		case s := <-sig:
-			d.checkpointNow("signal " + s.String())
-			d.writeTrace(*tracePath)
-			os.Exit(0)
-		default:
-		}
-		if err := d.ingest(sc.Bytes()); err != nil {
-			log.Fatalf("event %d: %v", line, err)
-		}
-		d.publish()
-		if d.store != nil && d.live.Events() >= d.lastCkpt+*every {
-			d.checkpointNow("interval")
-		}
-		if *killAfter > 0 && d.ingested >= *killAfter {
-			d.checkpointNow("injected kill")
-			d.writeTrace(*tracePath)
+	if end != drained {
+		d.writeTrace(*tracePath)
+		if end == killed {
 			log.Printf("kill-after %d: simulating crash (exit 3) at %d engine events", *killAfter, d.live.Events())
 			os.Exit(3)
 		}
-	}
-	if err := sc.Err(); err != nil {
-		log.Fatal(err)
+		os.Exit(0)
 	}
 
 	res, err := d.live.Close()
 	if err != nil {
 		log.Fatal(err)
 	}
-	d.report(res, *jsonPath, *eventsPath, admit.Name(), *workers, *batch)
+	if err := d.report(os.Stdout, res, *jsonPath); err != nil {
+		log.Fatal(err)
+	}
 	d.writeTrace(*tracePath)
 	if *linger > 0 && *httpAddr != "" {
 		log.Printf("lingering %v for scrapers on %s", *linger, *httpAddr)
@@ -288,6 +258,111 @@ func main() {
 	if err := res.FleetResult().Err(); err != nil {
 		log.Fatal(err)
 	}
+}
+
+// newDaemon loads the startup bundle and starts an idle engine. The
+// manager is resolved against the startup bundle, through the stream
+// constructor every arrival uses, before anything is written to the
+// state directory.
+func newDaemon(cfg config) (*daemon, error) {
+	d := &daemon{
+		cfg:     cfg,
+		opt:     fleet.Options{Manager: cfg.manager, Overhead: sim.IPodOverhead, NoiseAmp: cfg.noise},
+		bundles: map[uint64]*controller.Bundle{},
+	}
+	d.reg = obs.NewRegistry("qmfleetd")
+	d.met = obs.NewFleetMetrics(d.reg)
+	cmet := obs.NewCheckpointMetrics(d.reg, func() int64 { return time.Now().UnixNano() })
+	d.ingestEv = d.reg.Counter("ingest_events", "NDJSON input events ingested.", obs.SerialOrder)
+	d.swapEv = d.reg.Counter("bundle_swaps", "Hot controller-bundle swaps applied.", obs.SerialOrder)
+	d.replayLen = d.reg.Gauge("resume_replay_events", "Event-file lines replayed by the last resume.", obs.SerialOrder)
+	if cfg.trace {
+		d.tr = obs.NewTrace(1 << 16)
+	}
+
+	// stateDir stays empty, so nothing is retained, until the startup
+	// bundle has loaded and a stream has been built from it.
+	boot, bootHash, err := d.loadBundle(cfg.bundle)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := d.stream(boot, event{Cycles: 1}); err != nil {
+		return nil, err
+	}
+	if cfg.state != "" {
+		if err := os.MkdirAll(cfg.state, 0o755); err != nil {
+			return nil, err
+		}
+		d.stateDir = cfg.state
+		d.store = &checkpoint.Store{Dir: cfg.state, Logf: log.Printf, Met: cmet}
+		if err := d.retain(boot, bootHash); err != nil {
+			return nil, err
+		}
+	}
+	d.activate(boot, bootHash)
+	levels := cfg.maxLevels
+	if levels == 0 {
+		levels = boot.System().NumLevels()
+	}
+	// The fingerprint covers everything that shapes results except the
+	// scheduler (workers/batch change wall-clock only) and the bundles
+	// (recorded per stream in the snapshot metadata).
+	d.fp = checkpoint.Fingerprint("qmfleetd", cfg.manager, cfg.admit.Name(),
+		strconv.Itoa(levels), strconv.FormatFloat(cfg.noise, 'g', -1, 64))
+
+	d.live = fleet.NewOpenLive(fleet.OpenLiveConfig{
+		Admit: cfg.admit, Workers: cfg.workers, BatchCycles: cfg.batch, Lookahead: cfg.lookahead, MaxLevels: levels,
+		Obs: d.met, Trace: d.tr,
+	})
+	return d, nil
+}
+
+// newEventScanner reads an event file line by line. Resume and the
+// serve loop share one scanner, so the file is read once.
+func newEventScanner(r io.Reader) *bufio.Scanner {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, maxEventLine), maxEventLine)
+	return sc
+}
+
+// decodeEvent parses one NDJSON line into an arrive or a swap event —
+// the one decoder of ingest and of resume's replay.
+func decodeEvent(raw []byte) (event, error) {
+	var ev event
+	if err := json.Unmarshal(raw, &ev); err != nil {
+		return event{}, fmt.Errorf("bad event: %w", err)
+	}
+	if ev.Op != "arrive" && ev.Op != "swap" {
+		return event{}, fmt.Errorf("unknown op %q", ev.Op)
+	}
+	return ev, nil
+}
+
+// serve ingests the events sc yields — the lines after any a resume
+// consumed — checkpointing every `every` engine event groups. It
+// returns early, after a checkpoint, when sig delivers (signaled) or
+// once killAfter > 0 lines have been ingested (killed).
+func (d *daemon) serve(sc *bufio.Scanner, every int64, killAfter int, sig <-chan os.Signal) (int, error) {
+	for line := d.ingested + 1; sc.Scan(); line++ {
+		select {
+		case s := <-sig:
+			d.checkpointNow("signal " + s.String())
+			return signaled, nil
+		default:
+		}
+		if err := d.ingest(sc.Bytes()); err != nil {
+			return 0, fmt.Errorf("event %d: %w", line, err)
+		}
+		d.publish()
+		if d.store != nil && d.live.Events() >= d.lastCkpt+every {
+			d.checkpointNow("interval")
+		}
+		if killAfter > 0 && d.ingested >= killAfter {
+			d.checkpointNow("injected kill")
+			return killed, nil
+		}
+	}
+	return drained, sc.Err()
 }
 
 // writeTrace renders the event ring as Chrome trace JSON, atomically.
@@ -304,27 +379,13 @@ func (d *daemon) writeTrace(path string) {
 
 // ingest applies one NDJSON event to the engine.
 func (d *daemon) ingest(raw []byte) error {
-	var ev event
-	if err := json.Unmarshal(raw, &ev); err != nil {
-		return fmt.Errorf("bad event: %w", err)
+	ev, err := decodeEvent(raw)
+	if err != nil {
+		return err
 	}
 	d.ingested++
 	d.ingestEv.Inc()
-	switch ev.Op {
-	case "arrive":
-		s, err := buildStream(d.active, d.manager, ev, d.noise)
-		if err != nil {
-			return err
-		}
-		t := core.Time(ev.At)
-		if err := d.live.Feed(s, t); err != nil {
-			return err
-		}
-		d.streams = append(d.streams, s)
-		d.arrivalsT = append(d.arrivalsT, t)
-		d.bundleOf = append(d.bundleOf, int32(len(d.order)-1))
-		return nil
-	case "swap":
+	if ev.Op == "swap" {
 		b, h, err := d.loadBundle(ev.Bundle)
 		if err != nil {
 			return fmt.Errorf("swap: %w", err)
@@ -334,45 +395,27 @@ func (d *daemon) ingest(raw []byte) error {
 		d.swapEv.Inc()
 		d.tr.Rec(obs.EvSwap, obs.NoTime, obs.NoStream, obs.NoWorker, int64(h))
 		return nil
-	default:
-		return fmt.Errorf("unknown op %q", ev.Op)
 	}
+	s, err := d.stream(d.active, ev)
+	if err != nil {
+		return err
+	}
+	if err := d.live.Feed(s, core.Time(ev.At)); err != nil {
+		return err
+	}
+	d.bundleOf = append(d.bundleOf, int32(len(d.order)-1))
+	return nil
 }
 
-// buildStream constructs one stream against a bundle — the serving
-// analogue of fleet.FromBundle with an explicit per-stream seed.
-func buildStream(b *controller.Bundle, manager string, ev event, noise float64) (fleet.Stream, error) {
-	if ev.Cycles <= 0 {
-		return fleet.Stream{}, fmt.Errorf("stream %q: non-positive cycles %d", ev.Name, ev.Cycles)
-	}
-	var mgr core.Manager
-	switch manager {
-	case "", "relaxed":
-		mgr = b.Relaxed()
-	case "symbolic":
-		mgr = b.Symbolic()
-	case "numeric":
-		mgr = b.Numeric()
-	default:
-		return fleet.Stream{}, fmt.Errorf("unknown manager %q", manager)
-	}
-	sys := b.System()
-	return fleet.Stream{
-		Name: ev.Name,
-		Runner: sim.Runner{
-			Sys:      sys,
-			Mgr:      mgr,
-			Exec:     sim.Content{Sys: sys, NoiseAmp: noise, Seed: ev.Seed},
-			Overhead: sim.IPodOverhead,
-			Cycles:   ev.Cycles,
-		},
-	}, nil
+// stream builds an arriving stream against bundle b with fleet's
+// stream constructor.
+func (d *daemon) stream(b *controller.Bundle, ev event) (fleet.Stream, error) {
+	opt := d.opt
+	opt.Cycles = ev.Cycles
+	return fleet.BundleStream(b, ev.Name, ev.Seed, opt)
 }
 
-// loadBundle loads and hashes a bundle file, retaining a content-
-// addressed copy in the state directory so a resume can rebuild
-// streams against the exact bundle they were admitted under even if
-// the original file has since changed.
+// loadBundle loads and hashes a bundle file and retains a copy of it.
 func (d *daemon) loadBundle(path string) (*controller.Bundle, uint64, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -390,19 +433,31 @@ func (d *daemon) loadBundle(path string) (*controller.Bundle, uint64, error) {
 	if prev, ok := d.bundles[h]; ok {
 		return prev, h, nil // identical bundle: swap is a no-op
 	}
-	d.bundles[h] = b
-	if d.stateDir != "" {
-		dst := d.bundleFile(h)
-		if _, err := os.Stat(dst); os.IsNotExist(err) {
-			if err := checkpoint.WriteAtomic(dst, func(w io.Writer) error {
-				_, werr := b.WriteTo(w)
-				return werr
-			}); err != nil {
-				return nil, 0, fmt.Errorf("retain bundle %016x: %w", h, err)
-			}
-		}
+	if err := d.retain(b, h); err != nil {
+		return nil, 0, err
 	}
+	d.bundles[h] = b
 	return b, h, nil
+}
+
+// retain keeps a content-addressed copy of a bundle in the state
+// directory, so a resume can rebuild streams against the exact bundle
+// they were admitted under even if the original file has since changed.
+func (d *daemon) retain(b *controller.Bundle, h uint64) error {
+	if d.stateDir == "" {
+		return nil
+	}
+	dst := d.bundleFile(h)
+	if _, err := os.Stat(dst); !os.IsNotExist(err) {
+		return nil
+	}
+	if err := checkpoint.WriteAtomic(dst, func(w io.Writer) error {
+		_, werr := b.WriteTo(w)
+		return werr
+	}); err != nil {
+		return fmt.Errorf("retain bundle %016x: %w", h, err)
+	}
+	return nil
 }
 
 func (d *daemon) bundleFile(h uint64) string {
@@ -456,11 +511,12 @@ func (d *daemon) checkpointNow(why string) {
 	log.Printf("checkpoint (%s): %s at %d engine events, %d ingested", why, path, cap.Events, d.ingested)
 }
 
-// tryResume loads the newest valid snapshot, replays the consumed
-// prefix of the event file to rebuild the fed population against the
-// recorded bundles, and restores the engine. No snapshot (or none
-// valid) is a fresh start, not an error.
-func (d *daemon) tryResume(eventsPath string) error {
+// tryResume loads the newest valid snapshot, rebuilds the fed
+// population from the prefix of the event file it consumed — read from
+// sc, which the serve loop then continues — against the recorded
+// bundles, and restores the engine. No snapshot (or none valid) is a
+// fresh start, not an error.
+func (d *daemon) tryResume(sc *bufio.Scanner) error {
 	snap, path, err := d.store.LoadLatest(d.fp)
 	if err != nil {
 		return err
@@ -487,54 +543,45 @@ func (d *daemon) tryResume(eventsPath string) error {
 	d.active = d.bundles[d.order[len(d.order)-1]]
 	d.activeH = d.order[len(d.order)-1]
 
-	f, err := os.Open(eventsPath)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	d.bundleOf = append([]int32(nil), snap.Meta.StreamBundle...)
-	k := 0
-	for line := 0; line < snap.Meta.ArrivalCursor; line++ {
+	var streams []fleet.Stream
+	var arrivals []core.Time
+	for line := 1; line <= snap.Meta.ArrivalCursor; line++ {
 		if !sc.Scan() {
-			return fmt.Errorf("resume: event file has %d lines, snapshot consumed %d", line, snap.Meta.ArrivalCursor)
+			return fmt.Errorf("resume: event file has %d lines, snapshot consumed %d", line-1, snap.Meta.ArrivalCursor)
 		}
-		var ev event
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			return fmt.Errorf("resume: replay event %d: %w", line+1, err)
+		ev, err := decodeEvent(sc.Bytes())
+		if err != nil {
+			return fmt.Errorf("resume: replay event %d: %w", line, err)
 		}
-		switch ev.Op {
-		case "arrive":
-			if k >= len(d.bundleOf) {
-				return fmt.Errorf("resume: snapshot records %d stream-bundle bindings, replay found more arrivals", len(d.bundleOf))
-			}
-			b := d.bundles[d.order[d.bundleOf[k]]]
-			s, err := buildStream(b, d.manager, ev, d.noise)
-			if err != nil {
-				return fmt.Errorf("resume: replay event %d: %w", line+1, err)
-			}
-			d.streams = append(d.streams, s)
-			d.arrivalsT = append(d.arrivalsT, core.Time(ev.At))
-			k++
-		case "swap":
-			// Bundle activations were replayed from the snapshot metadata.
-		default:
-			return fmt.Errorf("resume: replay event %d: unknown op %q", line+1, ev.Op)
+		if ev.Op == "swap" {
+			// The activation is in the snapshot metadata; the swap counts
+			// as it did when ingested.
+			d.swaps++
+			continue
 		}
+		k := len(streams)
+		if k >= len(d.bundleOf) {
+			return fmt.Errorf("resume: snapshot records %d stream-bundle bindings, replay found more arrivals", len(d.bundleOf))
+		}
+		s, err := d.stream(d.bundles[d.order[d.bundleOf[k]]], ev)
+		if err != nil {
+			return fmt.Errorf("resume: replay event %d: %w", line, err)
+		}
+		streams = append(streams, s)
+		arrivals = append(arrivals, core.Time(ev.At))
 	}
-	if k != len(d.bundleOf) {
-		return fmt.Errorf("resume: snapshot records %d arrivals, replay found %d", len(d.bundleOf), k)
+	if len(streams) != len(d.bundleOf) {
+		return fmt.Errorf("resume: snapshot records %d arrivals, replay found %d", len(d.bundleOf), len(streams))
 	}
-	if err := d.live.Restore(snap.Capture, d.streams, d.arrivalsT); err != nil {
+	if err := d.live.Restore(snap.Capture, streams, arrivals); err != nil {
 		return fmt.Errorf("resume from %s: %w", path, err)
 	}
 	d.ingested = snap.Meta.ArrivalCursor
 	d.lastCkpt = snap.Capture.Events
-	d.swaps = len(d.order) - 1
 	d.replayLen.Set(int64(snap.Meta.ArrivalCursor))
 	log.Printf("resumed from %s: %d engine events, %d ingested events, %d streams",
-		path, snap.Capture.Events, d.ingested, len(d.streams))
+		path, snap.Capture.Events, d.ingested, d.live.Population())
 	return nil
 }
 
@@ -605,30 +652,32 @@ func (d *daemon) serveHTTP(addr string) {
 	}
 }
 
-// report prints the final open-system table and persists the run
-// document atomically — the artifact the CI kill/resume smoke test
-// diffs against an uninterrupted reference.
-func (d *daemon) report(res *fleet.OpenResult, jsonPath, eventsPath, admitName string, workers, batch int) {
+// report prints the final open-system table to w and persists the run
+// document atomically — the artifacts a kill/resume check compares with
+// an uninterrupted reference.
+func (d *daemon) report(w io.Writer, res *fleet.OpenResult, jsonPath string) error {
 	flat := res.FleetResult()
 	fsum := report.Aggregate(flat)
 	open := metrics.SummarizeOpen(res.OpenObservations)
+	n := d.live.Population()
 	doc := &metrics.FleetDoc{
 		Label:       "qmfleetd",
 		Mode:        "open",
-		Streams:     len(d.streams),
-		Workers:     sim.EffectiveWorkers(len(d.streams), workers),
-		BatchCycles: batch,
-		Arrivals:    "ndjson:" + filepath.Base(eventsPath),
-		Admission:   admitName,
+		Streams:     n,
+		Workers:     sim.EffectiveWorkers(n, d.cfg.workers),
+		BatchCycles: d.cfg.batch,
+		Arrivals:    "ndjson:" + filepath.Base(d.cfg.events),
+		Admission:   d.cfg.admit.Name(),
 		Summary:     fsum,
 		Open:        &open,
 	}
 	if jsonPath != "" && flat.Err() == nil {
 		if err := checkpoint.WriteAtomic(jsonPath, doc.WriteJSON); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
-	fmt.Printf("served              %d events → %d streams (%d swaps), %d engine events\n",
-		d.ingested, len(d.streams), d.swaps, d.live.Events())
-	fmt.Print(report.OpenTable(res, open, flat, fsum))
+	fmt.Fprintf(w, "served              %d events → %d streams (%d swaps), %d engine events\n",
+		d.ingested, n, d.swaps, d.live.Events())
+	fmt.Fprint(w, report.OpenTable(res, open, flat, fsum))
+	return nil
 }

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -9,9 +12,32 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/controller"
+	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/workloads"
 )
+
+// writeBundle compiles the catalog's sdr-pipeline system with the
+// relaxation set rho and writes the bundle to path. Every rho gives the
+// same system, so the bundles differ only in their relaxation tables.
+func writeBundle(t testing.TB, path string, rho []int) *controller.Bundle {
+	t.Helper()
+	cat, err := workloads.Catalog()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := controller.Compile(controller.SpecFromSystem("sdr", cat["sdr-pipeline"], rho))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := checkpoint.WriteAtomic(path, func(w io.Writer) error {
+		_, err := b.WriteTo(w)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
 
 // TestResumeRejectsIncoherentMeta: a snapshot that passes the CRC and
 // the fingerprint check but whose bundle metadata cannot index the
@@ -20,22 +46,9 @@ import (
 // file holds an arrival, so a resume that skipped the check would reach
 // the index.
 func TestResumeRejectsIncoherentMeta(t *testing.T) {
-	cat, err := workloads.Catalog()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := controller.Compile(controller.SpecFromSystem("sdr", cat["sdr-pipeline"], []int{1}))
-	if err != nil {
-		t.Fatal(err)
-	}
 	src := t.TempDir()
 	bundlePath := filepath.Join(src, "bundle.json")
-	if err := checkpoint.WriteAtomic(bundlePath, func(w io.Writer) error {
-		_, err := b.WriteTo(w)
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
+	writeBundle(t, bundlePath, []int{1})
 	events := filepath.Join(src, "events.ndjson")
 	if err := os.WriteFile(events, []byte(`{"op":"arrive","name":"s0","at":0,"cycles":1,"seed":1}`+"\n"), 0o644); err != nil {
 		t.Fatal(err)
@@ -68,10 +81,201 @@ func TestResumeRejectsIncoherentMeta(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			err = d.tryResume(events)
+			f, err := os.Open(events)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			err = d.tryResume(newEventScanner(f))
 			if err == nil || !strings.Contains(err.Error(), path) {
 				t.Fatalf("tryResume = %v, want an error naming %s", err, path)
 			}
 		})
 	}
+}
+
+// drillConfig writes a small serving input and returns the daemon
+// configuration that serves it and the event file's line count. The
+// event file holds 14 arrivals, dense enough that cap-2 admission
+// delays and sheds, a swap to a new bundle after the fifth arrival and
+// a swap to a byte-identical copy of that bundle after the tenth.
+func drillConfig(t *testing.T) (config, int) {
+	t.Helper()
+	dir := t.TempDir()
+	boot := writeBundle(t, filepath.Join(dir, "boot.json"), []int{1})
+	writeBundle(t, filepath.Join(dir, "next.json"), []int{1, 2})
+	writeBundle(t, filepath.Join(dir, "next-copy.json"), []int{1, 2})
+	cfg := config{
+		bundle: filepath.Join(dir, "boot.json"), events: filepath.Join(dir, "events.ndjson"),
+		manager: "relaxed", admit: fleet.CapK{K: 2, Queue: 3}, workers: 1, noise: 0.3,
+	}
+	gap := boot.System().LastDeadline() / 3
+	var lines []string
+	var at core.Time
+	for k := 0; k < 14; k++ {
+		at += core.Time(k*k%3) * gap // gaps of 0, 1 and 2: some arrivals coincide
+		lines = append(lines, fmt.Sprintf(`{"op":"arrive","name":"s%d","at":%d,"cycles":%d,"seed":%d}`,
+			k, at, 1+k%4, 100+k))
+		switch k {
+		case 4:
+			lines = append(lines, `{"op":"swap","bundle":"`+filepath.Join(dir, "next.json")+`"}`)
+		case 9:
+			lines = append(lines, `{"op":"swap","bundle":"`+filepath.Join(dir, "next-copy.json")+`"}`)
+		}
+	}
+	if err := os.WriteFile(cfg.events, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return cfg, len(lines)
+}
+
+// serveOnce runs one daemon over cfg's event file as main does: build,
+// resume if asked, serve, then report. It returns how serve ended and,
+// for a run that drained its input, the printed report and the JSON
+// document with its scheduler-shape fields (workers, batch_cycles)
+// removed.
+func serveOnce(t *testing.T, cfg config, resume bool, every int64, killAfter int) (end int, out, doc string) {
+	t.Helper()
+	d, err := newDaemon(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(cfg.events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	sc := newEventScanner(f)
+	if resume {
+		if err := d.tryResume(sc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	end, err = d.serve(sc, every, killAfter, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if end != drained {
+		d.live.Abort()
+		return end, "", ""
+	}
+	res, err := d.live.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	jsonPath := filepath.Join(t.TempDir(), "report.json")
+	var buf bytes.Buffer
+	if err := d.report(&buf, res, jsonPath); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(jsonPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kept []string
+	for _, line := range strings.Split(string(raw), "\n") {
+		if !strings.Contains(line, `"workers":`) && !strings.Contains(line, `"batch_cycles":`) {
+			kept = append(kept, line)
+		}
+	}
+	return end, buf.String(), strings.Join(kept, "\n")
+}
+
+// TestKillResumeAtEveryBoundary is the crash-safety property of the
+// daemon: killed after any input line (checkpointing first, as
+// -kill-after does) and resumed at another worker count and batch, it
+// prints the same report and writes the same JSON document as a run
+// that was never interrupted — swap count included, whether the kill
+// fell before, between or after the two swaps.
+func TestKillResumeAtEveryBoundary(t *testing.T) {
+	cfg, lines := drillConfig(t)
+	end, want, wantDoc := serveOnce(t, cfg, false, 3, 0)
+	if end != drained {
+		t.Fatalf("uninterrupted run ended with %d", end)
+	}
+	if !strings.Contains(want, fmt.Sprintf("served              %d events → 14 streams (2 swaps)", lines)) {
+		t.Fatalf("uninterrupted report does not count every event and both swaps:\n%s", want)
+	}
+	for k := 1; k <= lines; k++ {
+		victim := cfg
+		victim.state = filepath.Join(t.TempDir(), "state")
+		if end, _, _ := serveOnce(t, victim, false, 3, k); end != killed {
+			t.Fatalf("kill after line %d: serve ended with %d, want killed", k, end)
+		}
+		heir := victim
+		heir.workers, heir.batch = 4, 1
+		_, got, gotDoc := serveOnce(t, heir, true, 3, 0)
+		if got != want {
+			t.Errorf("kill after line %d: resumed report\n%s\nwant\n%s", k, got, want)
+		}
+		if gotDoc != wantDoc {
+			t.Errorf("kill after line %d: resumed JSON\n%s\nwant\n%s", k, gotDoc, wantDoc)
+		}
+	}
+}
+
+// TestUnknownManagerFailsAtStartup: a manager name fleet cannot build
+// fails the daemon before it writes any state, not at the first
+// arrival.
+func TestUnknownManagerFailsAtStartup(t *testing.T) {
+	cfg, _ := drillConfig(t)
+	cfg.manager = "bogus"
+	cfg.state = filepath.Join(t.TempDir(), "state")
+	if _, err := newDaemon(cfg); err == nil || !strings.Contains(err.Error(), `unknown manager "bogus"`) {
+		t.Fatalf("newDaemon = %v, want an unknown-manager error", err)
+	}
+	if _, err := os.Stat(cfg.state); !os.IsNotExist(err) {
+		t.Fatalf("state directory exists after a failed start (stat: %v)", err)
+	}
+}
+
+// FuzzEventDecode: the NDJSON event decoder never panics, every line it
+// accepts encodes and decodes back to the same event, and an accepted
+// arrival either builds a stream matching it against a fixed bundle or
+// returns an error.
+func FuzzEventDecode(f *testing.F) {
+	for _, line := range []string{
+		`{"op":"arrive","name":"s0","at":0,"cycles":1,"seed":1000}`,
+		`{"op":"arrive","name":"s17","at":153000000,"cycles":4,"seed":1017}`,
+		`{"op":"swap","bundle":"bundle.json"}`,
+		`{"op":"arrive","name":"s1","at":9000000,"cycles":0,"seed":1001}`,
+		`{"op":"arrive","name":"s2","at":-1,"cycles":-3}`,
+		`{"op":"leave","name":"s0"}`,
+		`{"op":"arrive","cycles":"8"}`,
+		`{"op":"arrive",`,
+		`null`,
+		`[1,2]`,
+		``,
+	} {
+		f.Add([]byte(line))
+	}
+	bundle := filepath.Join(f.TempDir(), "bundle.json")
+	writeBundle(f, bundle, []int{1})
+	d, err := newDaemon(config{bundle: bundle, manager: "relaxed", admit: fleet.AdmitAll{}, workers: 1, noise: 0.3})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		ev, err := decodeEvent(raw)
+		if err != nil {
+			return
+		}
+		enc, err := json.Marshal(ev)
+		if err != nil {
+			t.Fatalf("accepted %q but cannot encode %+v: %v", raw, ev, err)
+		}
+		if back, err := decodeEvent(enc); err != nil || back != ev {
+			t.Fatalf("%q decodes to %+v, which encodes as %s and decodes to %+v (%v)", raw, ev, enc, back, err)
+		}
+		if ev.Op != "arrive" {
+			return
+		}
+		s, err := d.stream(d.active, ev)
+		if err != nil {
+			return
+		}
+		if s.Name != ev.Name || s.Cycles != ev.Cycles || s.Runner.Validate() != nil {
+			t.Fatalf("arrival %+v built stream %q with %d cycles (validate: %v)", ev, s.Name, s.Cycles, s.Runner.Validate())
+		}
+	})
 }

@@ -1,82 +1,15 @@
 package analysis
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
-	"io"
-	"os/exec"
 	"path/filepath"
 	"slices"
 )
-
-// listedPackage is the slice of `go list -json` output the loader needs.
-type listedPackage struct {
-	ImportPath string
-	Dir        string
-	Name       string
-	GoFiles    []string
-	Error      *struct{ Err string }
-}
-
-// Load enumerates the packages matching patterns (run from dir, the
-// module root) and type-checks each from source. Imports — stdlib and
-// module-local alike — resolve through the compiler's source importer,
-// so the loader works offline with nothing but the toolchain. This is
-// cmd/detlint's standalone mode; the vet-tool mode gets its file lists
-// and export data from the go command instead.
-func Load(dir string, patterns []string) ([]*Package, error) {
-	args := append([]string{"list", "-e", "-json"}, patterns...)
-	cmd := exec.Command("go", args...)
-	cmd.Dir = dir
-	// Cgo off keeps GoFiles pure-Go so the source importer can check
-	// every dependency without a C toolchain.
-	cmd.Env = append(cmd.Environ(), "CGO_ENABLED=0")
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	out, err := cmd.Output()
-	if err != nil {
-		return nil, fmt.Errorf("analysis: go list %v: %v\n%s", patterns, err, stderr.String())
-	}
-	var listed []listedPackage
-	dec := json.NewDecoder(bytes.NewReader(out))
-	for {
-		var p listedPackage
-		if err := dec.Decode(&p); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("analysis: decoding go list output: %v", err)
-		}
-		listed = append(listed, p)
-	}
-
-	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "source", nil)
-	var pkgs []*Package
-	for _, p := range listed {
-		if p.Error != nil {
-			return nil, fmt.Errorf("analysis: %s: %s", p.ImportPath, p.Error.Err)
-		}
-		if len(p.GoFiles) == 0 {
-			continue
-		}
-		files := make([]string, len(p.GoFiles))
-		for i, f := range p.GoFiles {
-			files[i] = filepath.Join(p.Dir, f)
-		}
-		pkg, err := CheckFiles(p.ImportPath, fset, files, imp)
-		if err != nil {
-			return nil, err
-		}
-		pkgs = append(pkgs, pkg)
-	}
-	return pkgs, nil
-}
 
 // goldenFset and goldenImporter are shared by every LoadDir call so the
 // golden tests type-check each stdlib dependency once per process, not
@@ -105,7 +38,8 @@ func LoadDir(dir string) (*Package, error) {
 }
 
 // CheckFiles parses the given files as one package and type-checks them
-// with the importer.
+// with the importer. LoadDir (golden tests, source importer) and
+// cmd/detlint (vet tool, export-data importer) both load through it.
 func CheckFiles(path string, fset *token.FileSet, filenames []string, imp types.Importer) (*Package, error) {
 	var files []*ast.File
 	for _, name := range filenames {
@@ -119,9 +53,6 @@ func CheckFiles(path string, fset *token.FileSet, filenames []string, imp types.
 }
 
 // CheckParsed type-checks already-parsed files as the package at path.
-// Shared by the source loader and cmd/detlint's vet-config mode (which
-// parses from a go-command-provided file list and imports from export
-// data).
 func CheckParsed(path string, fset *token.FileSet, files []*ast.File, imp types.Importer) (*Package, error) {
 	info := NewInfo()
 	conf := types.Config{

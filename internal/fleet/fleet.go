@@ -179,7 +179,7 @@ func ForSubsystem(base uint64, subsystem string) uint64 {
 	return sim.Mix64(base ^ sim.Mix64(h))
 }
 
-// Options configure FromBundle's stream construction.
+// Options configure the streams FromBundle and BundleStream build.
 type Options struct {
 	// Manager selects the per-stream Quality Manager instantiated from
 	// the bundle: "symbolic", "relaxed" (default) or "numeric".
@@ -190,8 +190,8 @@ type Options struct {
 	Period core.Time
 	// Overhead is the platform's management-cost model.
 	Overhead sim.OverheadModel
-	// BaseSeed seeds the fleet; stream k draws content with
-	// DeriveSeed(BaseSeed, k).
+	// BaseSeed seeds FromBundle's fleet; stream k draws content with
+	// DeriveSeed(BaseSeed, k). BundleStream takes its seed explicitly.
 	BaseSeed uint64
 	// NoiseAmp is the content model's jitter amplitude.
 	NoiseAmp float64
@@ -207,46 +207,52 @@ func FromBundle(b *controller.Bundle, n int, opt Options) ([]Stream, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("fleet: non-positive stream count %d", n)
 	}
-	if opt.Cycles <= 0 {
-		return nil, fmt.Errorf("fleet: non-positive cycle count %d", opt.Cycles)
-	}
-	mk, err := managerFactory(b, opt.Manager)
-	if err != nil {
-		return nil, err
-	}
-	sys := b.System()
 	streams := make([]Stream, n)
-	for k := 0; k < n; k++ {
-		streams[k] = Stream{
-			Name: fmt.Sprintf("%s-%03d", b.Spec().Name, k),
-			Runner: sim.Runner{
-				Sys: sys,
-				Mgr: mk(),
-				Exec: sim.Content{
-					Sys:          sys,
-					FrameFactor:  opt.FrameFactor,
-					ActionFactor: opt.ActionFactor,
-					NoiseAmp:     opt.NoiseAmp,
-					Seed:         DeriveSeed(opt.BaseSeed, k),
-				},
-				Overhead: opt.Overhead,
-				Cycles:   opt.Cycles,
-				Period:   opt.Period,
-			},
+	for k := range streams {
+		s, err := BundleStream(b, fmt.Sprintf("%s-%03d", b.Spec().Name, k), DeriveSeed(opt.BaseSeed, k), opt)
+		if err != nil {
+			return nil, err
 		}
+		streams[k] = s
 	}
 	return streams, nil
 }
 
-func managerFactory(b *controller.Bundle, name string) (func() core.Manager, error) {
-	switch name {
-	case "", "relaxed":
-		return b.Relaxed, nil
-	case "symbolic":
-		return b.Symbolic, nil
-	case "numeric":
-		return b.Numeric, nil
-	default:
-		return nil, fmt.Errorf("fleet: unknown manager %q", name)
+// BundleStream builds one stream, named name and drawing content with
+// seed, whose manager is instantiated from b — FromBundle's stream
+// construction for a caller that learns its streams one at a time (a
+// serving daemon). opt.BaseSeed is not used.
+func BundleStream(b *controller.Bundle, name string, seed uint64, opt Options) (Stream, error) {
+	if opt.Cycles <= 0 {
+		return Stream{}, fmt.Errorf("fleet: stream %q: non-positive cycle count %d", name, opt.Cycles)
 	}
+	var mgr core.Manager
+	switch opt.Manager {
+	case "", "relaxed":
+		mgr = b.Relaxed()
+	case "symbolic":
+		mgr = b.Symbolic()
+	case "numeric":
+		mgr = b.Numeric()
+	default:
+		return Stream{}, fmt.Errorf("fleet: unknown manager %q", opt.Manager)
+	}
+	sys := b.System()
+	return Stream{
+		Name: name,
+		Runner: sim.Runner{
+			Sys: sys,
+			Mgr: mgr,
+			Exec: sim.Content{
+				Sys:          sys,
+				FrameFactor:  opt.FrameFactor,
+				ActionFactor: opt.ActionFactor,
+				NoiseAmp:     opt.NoiseAmp,
+				Seed:         seed,
+			},
+			Overhead: opt.Overhead,
+			Cycles:   opt.Cycles,
+			Period:   opt.Period,
+		},
+	}, nil
 }

@@ -234,18 +234,41 @@ func frontierForRun(cfg *OpenConfig, stats bool) (*openFrontier, error) {
 		sc = new(OpenScratch)
 	}
 	f := newFrontier(cfg, sc, stats)
-	batch := cfg.BatchCycles
+	f.attachExec(f.n, cfg.Workers, cfg.BatchCycles)
+	return f, nil
+}
+
+// initFrontier resets the scratch-resident frontier for a new run: the
+// admitter and lookahead defaults, the observability hooks and the
+// scratch-owned heaps. The batch layout (newFrontier) and the
+// incremental driver (NewOpenLive) both start here.
+func initFrontier(sc *OpenScratch, stats bool, adm Admitter, look int, met *obs.FleetMetrics, tr *obs.Trace) *openFrontier {
+	if adm == nil {
+		adm = AdmitAll{}
+	}
+	if look <= 0 {
+		look = DefaultLookahead
+	}
+	f := &sc.frontier
+	*f = openFrontier{sc: sc, stats: stats, adm: adm, look: look, met: met, tr: tr,
+		dep: sc.dep[:0], pend: sc.pend[:0], backlog: sc.backlog}
+	return f
+}
+
+// attachExec selects the executor for a population of n streams: the
+// inline one when the pool would have a single worker, the concurrent
+// pool otherwise.
+func (f *openFrontier) attachExec(n, workers, batch int) {
 	if batch <= 0 {
 		batch = DefaultBatchCycles
 	}
-	if workers := sim.EffectiveWorkers(f.n, cfg.Workers); workers == 1 {
-		sc.inline.batch = batch
-		sc.inline.met = f.met
-		f.exec = &sc.inline
+	if workers = sim.EffectiveWorkers(n, workers); workers == 1 {
+		f.sc.inline.batch = batch
+		f.sc.inline.met = f.met
+		f.exec = &f.sc.inline
 	} else {
-		f.exec = newOpenSched(f.arena, workers, batch, sc, f.met, f.tr)
+		f.exec = newOpenSched(f.arena, workers, batch, f.sc, f.met, f.tr)
 	}
-	return f, nil
 }
 
 // streamWeight computes one stream's admission weight and departure
@@ -303,17 +326,8 @@ func validateOpen(cfg *OpenConfig, stats bool) error {
 // so a warm frontier allocates nothing.
 func newFrontier(cfg *OpenConfig, sc *OpenScratch, stats bool) *openFrontier {
 	n := len(cfg.Streams)
-	f := &sc.frontier
-	*f = openFrontier{streams: cfg.Streams, sc: sc, stats: stats, n: n, arr: cfg.Arrivals,
-		met: cfg.Obs, tr: cfg.Trace}
-	f.adm = cfg.Admit
-	if f.adm == nil {
-		f.adm = AdmitAll{}
-	}
-	f.look = cfg.Lookahead
-	if f.look <= 0 {
-		f.look = DefaultLookahead
-	}
+	f := initFrontier(sc, stats, cfg.Admit, cfg.Lookahead, cfg.Obs, cfg.Trace)
+	f.streams, f.n, f.arr = cfg.Streams, n, cfg.Arrivals
 
 	if stats {
 		for k := range cfg.Streams {
@@ -370,9 +384,6 @@ func newFrontier(cfg *OpenConfig, sc *OpenScratch, stats bool) *openFrontier {
 		sc.lifecycles[k] = metrics.Lifecycle{Name: cfg.Streams[k].Name, Arrival: cfg.Arrivals[k]}
 	}
 
-	f.dep = sc.dep[:0]
-	f.pend = sc.pend[:0]
-	f.backlog = sc.backlog
 	f.lastT = cfg.Arrivals[f.order[0]]
 	f.res.FirstArrival = f.lastT
 	return f

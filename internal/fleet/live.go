@@ -60,12 +60,10 @@ type OpenLiveConfig struct {
 // An OpenLive belongs to one goroutine; the concurrency inside (the
 // executor pool) is the engine's own.
 type OpenLive struct {
-	sc       *OpenScratch
-	f        *openFrontier
-	streams  []Stream
-	arrivals []core.Time
-	lastFed  core.Time
-	closed   bool
+	sc      *OpenScratch
+	f       *openFrontier
+	lastFed core.Time
+	closed  bool
 }
 
 // NewOpenLive starts an empty incremental run with a running (idle)
@@ -75,16 +73,8 @@ func NewOpenLive(cfg OpenLiveConfig) *OpenLive {
 	if sc == nil {
 		sc = NewOpenScratch()
 	}
-	f := &sc.frontier
-	*f = openFrontier{sc: sc, stats: true, maxLevels: cfg.MaxLevels, met: cfg.Obs, tr: cfg.Trace}
-	f.adm = cfg.Admit
-	if f.adm == nil {
-		f.adm = AdmitAll{}
-	}
-	f.look = cfg.Lookahead
-	if f.look <= 0 {
-		f.look = DefaultLookahead
-	}
+	f := initFrontier(sc, true, cfg.Admit, cfg.Lookahead, cfg.Obs, cfg.Trace)
+	f.maxLevels = cfg.MaxLevels
 	sc.arena.reset(0, true, nil, cfg.MaxLevels)
 	f.arena = &sc.arena
 	// The population and result slabs restart empty but keep their
@@ -93,27 +83,14 @@ func NewOpenLive(cfg OpenLiveConfig) *OpenLive {
 	sc.order, sc.util, sc.minFin, sc.final = sc.order[:0], sc.util[:0], sc.minFin[:0], sc.final[:0]
 	sc.lifecycles, sc.streams = sc.lifecycles[:0], sc.streams[:0]
 	sc.traces, sc.stats, sc.hist = sc.traces[:0], sc.stats[:0], sc.hist[:0]
-	sc.liveStreams, sc.liveArr = sc.liveStreams[:0], sc.liveArr[:0]
+	f.streams, f.arr = sc.liveStreams[:0], sc.liveArr[:0]
 	sc.res = OpenResult{}
 	f.res = &sc.res
-	f.dep = sc.dep[:0]
-	f.pend = sc.pend[:0]
-	f.backlog = sc.backlog
-	batch := cfg.BatchCycles
-	if batch <= 0 {
-		batch = DefaultBatchCycles
-	}
-	if workers := sim.EffectiveWorkers(math.MaxInt, cfg.Workers); workers == 1 {
-		sc.inline.batch = batch
-		sc.inline.met = f.met
-		f.exec = &sc.inline
-	} else {
-		f.exec = newOpenSched(f.arena, workers, batch, sc, f.met, f.tr)
-	}
+	f.attachExec(math.MaxInt, cfg.Workers, cfg.BatchCycles)
 	// The returned header lives in the scratch: a warm NewOpenLive
 	// performs no allocation whatsoever.
 	ol := &sc.live
-	*ol = OpenLive{sc: sc, f: f, streams: sc.liveStreams, arrivals: sc.liveArr}
+	*ol = OpenLive{sc: sc, f: f}
 	return ol
 }
 
@@ -131,7 +108,7 @@ func (ol *OpenLive) Feed(s Stream, t core.Time) error {
 		return errors.New("fleet: Feed on a closed OpenLive")
 	}
 	if t < 0 || t.IsInf() {
-		return arrivalInstantError(len(ol.streams), t)
+		return arrivalInstantError(ol.f.n, t)
 	}
 	if t < ol.lastFed {
 		return fmt.Errorf("fleet: Feed out of order: arrival %v after %v", t, ol.lastFed)
@@ -156,10 +133,10 @@ func (ol *OpenLive) Feed(s Stream, t core.Time) error {
 func (ol *OpenLive) appendStream(s Stream, t core.Time) {
 	f, sc := ol.f, ol.sc
 	k := f.n
-	ol.streams = append(ol.streams, s)
-	ol.arrivals = append(ol.arrivals, t)
-	sc.liveStreams, sc.liveArr = ol.streams, ol.arrivals
-	u, mf := streamWeight(&ol.streams[k].Runner, true)
+	f.streams = append(f.streams, s)
+	f.arr = append(f.arr, t)
+	sc.liveStreams, sc.liveArr = f.streams, f.arr
+	u, mf := streamWeight(&f.streams[k].Runner, true)
 	sc.order = append(sc.order, int32(k))
 	sc.util = append(sc.util, u)
 	sc.minFin = append(sc.minFin, mf)
@@ -175,7 +152,6 @@ func (ol *OpenLive) appendStream(s Stream, t core.Time) {
 		sc.hist = append(sc.hist, 0)
 	}
 	f.n = k + 1
-	f.streams, f.arr = ol.streams, ol.arrivals
 	f.order, f.util, f.minFin, f.final = sc.order, sc.util, sc.minFin, sc.final
 	sc.res.Streams = sc.streams
 	sc.res.Lifecycles = sc.lifecycles

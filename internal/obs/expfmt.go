@@ -229,21 +229,10 @@ func checkTyped(typed map[string]string, name string) error {
 	return fmt.Errorf("sample %s has no preceding # TYPE declaration", name)
 }
 
-// FindSample returns the first sample whose bare name matches, and
-// whether one exists — the lookup the CI assertion tool leans on.
-func FindSample(samples []Sample, name string) (Sample, bool) {
-	for _, s := range samples {
-		if s.Name == name {
-			return s, true
-		}
-	}
-	return Sample{}, false
-}
-
 // FindSeries returns the first sample matching the bare name whose
-// series carries every given `k="v"` label pair — the labeled lookup
-// (instance="0") the CI assertion tool uses against per-instance
-// series. An empty pair list degenerates to FindSample.
+// series carries every given `k="v"` label pair — the lookup the CI
+// assertion tool uses, labeled (instance="0") against per-instance
+// series or with no pairs against the bare name alone.
 func FindSeries(samples []Sample, name string, pairs []string) (Sample, bool) {
 	for _, s := range samples {
 		if s.Name != name {

@@ -72,7 +72,7 @@ func TestParsePromRoundTrip(t *testing.T) {
 		"qmtest_flush_count":    3,
 	}
 	for name, want := range wantValues {
-		s, ok := FindSample(samples, name)
+		s, ok := FindSeries(samples, name, nil)
 		if !ok {
 			t.Fatalf("sample %s missing from round trip", name)
 		}

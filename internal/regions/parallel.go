@@ -19,19 +19,25 @@ func BuildTDTableParallel(sys *core.System) *TDTable {
 
 	// Each level writes the disjoint strided entries td[i*nq+q] of the
 	// shared slab, so levels may run concurrently.
+	forEachLevel(t.nq, func(q int) { buildLevel(sys, core.Level(q), c, t) })
+	return t
+}
+
+// forEachLevel runs fn(q) for every level q < nq, at most
+// maxParallelism() levels at a time, and returns when all are done.
+func forEachLevel(nq int, fn func(q int)) {
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, maxParallelism())
-	for q := 0; q < t.nq; q++ {
+	for q := 0; q < nq; q++ {
 		wg.Add(1)
 		go func(q int) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			buildLevel(sys, core.Level(q), c, t)
+			fn(q)
 		}(q)
 	}
 	wg.Wait()
-	return t
 }
 
 // buildLevel runs the monotonic-stack pass for one level (the body of
@@ -73,88 +79,16 @@ func buildLevel(sys *core.System, q core.Level, c []core.Time, t *TDTable) {
 }
 
 // BuildRelaxTablesParallel computes the same tables as BuildRelaxTables
-// with the (level, r) sliding-window passes distributed over a bounded
-// worker pool.
+// with the levels' sliding-window passes distributed over a bounded
+// worker pool. Both builders fill each level with fillRelaxLevel; tests
+// pin their equivalence.
 func BuildRelaxTablesParallel(td *TDTable, rho []int) (*RelaxTables, error) {
-	// Reuse the serial constructor for validation and layout, then
-	// recompute the heavy payload concurrently. The serial pass is the
-	// executable specification; tests pin equivalence.
-	rt, err := BuildRelaxTables(td, rho)
+	rt, err := newRelaxTables(td, rho)
 	if err != nil {
 		return nil, err
 	}
-	sys := td.sys
-	nq := sys.NumLevels()
-
-	type job struct{ q, ri int }
-	jobs := make(chan job)
-	var wg sync.WaitGroup
-	workers := maxParallelism()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				fillRelaxRow(rt, j.q, j.ri)
-			}
-		}()
-	}
-	for q := 0; q < nq; q++ {
-		for ri := range rt.rho {
-			jobs <- job{q, ri}
-		}
-	}
-	close(jobs)
-	wg.Wait()
+	forEachLevel(len(rt.upper), func(q int) { fillRelaxLevel(rt, q) })
 	return rt, nil
-}
-
-// fillRelaxRow recomputes upper/lower for one (level, rho-index) pair.
-// It writes only its own rows, so rows may be filled concurrently.
-func fillRelaxRow(rt *RelaxTables, q, ri int) {
-	sys := rt.td.sys
-	n := sys.NumActions()
-	nq := sys.NumLevels()
-	r := rt.rho[ri]
-	up := rt.upper[q][ri]
-	lo := rt.lower[q][ri]
-	deque := make([]int, 0, r+1)
-	e := func(j int) core.Time {
-		tdv := rt.td.TD(j, core.Level(q))
-		if tdv >= core.TimeInf {
-			return core.TimeInf
-		}
-		return tdv - sys.WCPrefix(j, core.Level(q))
-	}
-	for j := 0; j < n; j++ {
-		for len(deque) > 0 && e(deque[len(deque)-1]) >= e(j) {
-			deque = deque[:len(deque)-1]
-		}
-		deque = append(deque, j)
-		i := j - r + 1
-		if i < 0 {
-			continue
-		}
-		if deque[0] < i {
-			deque = deque[1:]
-		}
-		if m := e(deque[0]); m >= core.TimeInf {
-			up[i] = core.TimeInf
-		} else {
-			up[i] = m + sys.WCPrefix(i, core.Level(q))
-		}
-		if q == nq-1 {
-			lo[i] = core.TimeNegInf
-		} else {
-			lo[i] = rt.td.TD(i+r-1, core.Level(q+1))
-		}
-	}
-	for i := n - r + 1; i < n; i++ {
-		if i >= 0 {
-			up[i] = core.TimeNegInf
-			lo[i] = core.TimeNegInf
-		}
-	}
 }
 
 func maxParallelism() int {

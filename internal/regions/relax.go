@@ -35,6 +35,19 @@ type RelaxTables struct {
 // step count). Construction is O(n·|Q|·|ρ|) using a sliding-window
 // minimum (monotonic deque) per (q, r) over e_q(j) = tD(s_j, q) − Wq[j].
 func BuildRelaxTables(td *TDTable, rho []int) (*RelaxTables, error) {
+	rt, err := newRelaxTables(td, rho)
+	if err != nil {
+		return nil, err
+	}
+	for q := range rt.upper {
+		fillRelaxLevel(rt, q)
+	}
+	return rt, nil
+}
+
+// newRelaxTables validates rho and allocates the tables' rows, shared
+// by the serial and parallel builders.
+func newRelaxTables(td *TDTable, rho []int) (*RelaxTables, error) {
 	if len(rho) == 0 {
 		return nil, fmt.Errorf("regions: empty relaxation set")
 	}
@@ -53,9 +66,8 @@ func BuildRelaxTables(td *TDTable, rho []int) (*RelaxTables, error) {
 		return nil, fmt.Errorf("regions: relaxation set must contain 1 (R¹_q = R_q)")
 	}
 
-	sys := td.sys
-	n := sys.NumActions()
-	nq := sys.NumLevels()
+	n := td.sys.NumActions()
+	nq := td.sys.NumLevels()
 	rt := &RelaxTables{
 		td:    td,
 		rho:   uniq,
@@ -65,59 +77,67 @@ func BuildRelaxTables(td *TDTable, rho []int) (*RelaxTables, error) {
 	for q := 0; q < nq; q++ {
 		rt.upper[q] = make([][]core.Time, len(uniq))
 		rt.lower[q] = make([][]core.Time, len(uniq))
-		// e(j) = tD(s_j, q) − Wq[j]; window minima of e give the upper
-		// bounds after adding back Wq[i].
-		e := make([]core.Time, n)
-		for j := 0; j < n; j++ {
-			tdv := td.TD(j, core.Level(q))
-			if tdv >= core.TimeInf {
-				e[j] = core.TimeInf
-			} else {
-				e[j] = tdv - sys.WCPrefix(j, core.Level(q))
-			}
-		}
-		for ri, r := range uniq {
-			up := make([]core.Time, n)
-			lo := make([]core.Time, n)
-			// Monotonic deque of indices with increasing e values.
-			deque := make([]int, 0, r+1)
-			for j := 0; j < n; j++ {
-				for len(deque) > 0 && e[deque[len(deque)-1]] >= e[j] {
-					deque = deque[:len(deque)-1]
-				}
-				deque = append(deque, j)
-				i := j - r + 1 // window [i, j] has length r
-				if i < 0 {
-					continue
-				}
-				if deque[0] < i {
-					deque = deque[1:]
-				}
-				m := e[deque[0]]
-				if m >= core.TimeInf {
-					up[i] = core.TimeInf
-				} else {
-					up[i] = m + sys.WCPrefix(i, core.Level(q))
-				}
-				if q == nq-1 {
-					lo[i] = core.TimeNegInf
-				} else {
-					lo[i] = td.TD(i+r-1, core.Level(q+1))
-				}
-			}
-			// States that cannot accommodate r further actions carry
-			// an empty interval.
-			for i := n - r + 1; i < n; i++ {
-				if i >= 0 {
-					up[i] = core.TimeNegInf
-					lo[i] = core.TimeNegInf
-				}
-			}
-			rt.upper[q][ri] = up
-			rt.lower[q][ri] = lo
+		for ri := range uniq {
+			rt.upper[q][ri] = make([]core.Time, n)
+			rt.lower[q][ri] = make([]core.Time, n)
 		}
 	}
 	return rt, nil
+}
+
+// fillRelaxLevel fills level q's rows for every r ∈ ρ: e(j) is computed
+// once for the level, then each row is one monotonic-deque pass. It
+// writes only level q's rows, so levels may be filled concurrently.
+func fillRelaxLevel(rt *RelaxTables, q int) {
+	td, sys := rt.td, rt.td.sys
+	n := sys.NumActions()
+	nq := sys.NumLevels()
+	// e(j) = tD(s_j, q) − Wq[j]; window minima of e give the upper
+	// bounds after adding back Wq[i].
+	e := make([]core.Time, n)
+	for j := 0; j < n; j++ {
+		tdv := td.TD(j, core.Level(q))
+		if tdv >= core.TimeInf {
+			e[j] = core.TimeInf
+		} else {
+			e[j] = tdv - sys.WCPrefix(j, core.Level(q))
+		}
+	}
+	for ri, r := range rt.rho {
+		up, lo := rt.upper[q][ri], rt.lower[q][ri]
+		// Monotonic deque of indices with increasing e values.
+		deque := make([]int, 0, r+1)
+		for j := 0; j < n; j++ {
+			for len(deque) > 0 && e[deque[len(deque)-1]] >= e[j] {
+				deque = deque[:len(deque)-1]
+			}
+			deque = append(deque, j)
+			i := j - r + 1 // window [i, j] has length r
+			if i < 0 {
+				continue
+			}
+			if deque[0] < i {
+				deque = deque[1:]
+			}
+			m := e[deque[0]]
+			if m >= core.TimeInf {
+				up[i] = core.TimeInf
+			} else {
+				up[i] = m + sys.WCPrefix(i, core.Level(q))
+			}
+			if q == nq-1 {
+				lo[i] = core.TimeNegInf
+			} else {
+				lo[i] = td.TD(i+r-1, core.Level(q+1))
+			}
+		}
+		// States that cannot accommodate r further actions carry
+		// an empty interval.
+		for i := max(n-r+1, 0); i < n; i++ {
+			up[i] = core.TimeNegInf
+			lo[i] = core.TimeNegInf
+		}
+	}
 }
 
 // MustBuildRelaxTables is BuildRelaxTables that panics on error.
