@@ -52,7 +52,10 @@
 // consumed prefix of the event file against the recorded per-stream
 // bundles, and continues. -kill-after N exits with code 3 after
 // ingesting N lines (checkpoint first), the deterministic crash the
-// kill/resume checks drive.
+// kill/resume checks drive. Snapshots are written off the serving
+// goroutine, at most one at a time; one is durable once its checkpoint
+// line is logged, and a signal or -kill-after exits only after the last
+// write has committed.
 package main
 
 import (
@@ -117,16 +120,24 @@ type daemon struct {
 	store    *checkpoint.Store
 	fp       string
 
-	bundles  map[uint64]*controller.Bundle // by hash
-	order    []uint64                      // activation order; last = active
-	active   *controller.Bundle
-	activeH  uint64
-	swaps    int
-	ingested int     // input lines consumed (the checkpoint cursor)
-	bundleOf []int32 // per fed stream: index into order
+	bundles   map[uint64]*controller.Bundle // by hash
+	order     []uint64                      // activation order; last = active
+	active    *controller.Bundle
+	activeH   uint64
+	activeHex string // activeH as the observables print it
+	swaps     int
+	ingested  int     // input lines consumed (the checkpoint cursor)
+	bundleOf  []int32 // per fed stream: index into order
 
+	// lastCkpt and lastCkptErr describe the newest snapshot write that
+	// finished: its engine event count once durable, its error if it
+	// failed. ckptFrom is where the checkpoint interval counts from: the
+	// newest capture handed to a write, or lastCkpt after a failure.
+	// saving is the write in flight, nil when none is.
 	lastCkpt    int64
 	lastCkptErr string
+	ckptFrom    int64
+	saving      *snapshotWrite
 	obs         atomic.Pointer[observables]
 
 	// Observability: the static instrument registry, the engine metric
@@ -154,6 +165,19 @@ type config struct {
 	maxLevels int // 0 = the startup bundle's level count
 	noise     float64
 	trace     bool
+}
+
+// snapshotWrite is one snapshot being saved on its own goroutine: what
+// its log line reports, and the outcome, which the goroutine sets
+// before it closes done. It does not hold the snapshot, so the capture
+// can be collected once it is encoded, while the write is in flight.
+type snapshotWrite struct {
+	why      string
+	events   int64
+	ingested int
+	done     chan struct{}
+	path     string
+	err      error
 }
 
 // Why serve returned.
@@ -341,8 +365,13 @@ func decodeEvent(raw []byte) (event, error) {
 // serve ingests the events sc yields — the lines after any a resume
 // consumed — checkpointing every `every` engine event groups. It
 // returns early, after a checkpoint, when sig delivers (signaled) or
-// once killAfter > 0 lines have been ingested (killed).
+// once killAfter > 0 lines have been ingested (killed). Snapshots are
+// written off the serving path; whatever way serve returns, it first
+// waits for the last write and records its outcome, so a signaled or
+// killed run stops only once its snapshot is durable or its failure
+// logged.
 func (d *daemon) serve(sc *bufio.Scanner, every int64, killAfter int, sig <-chan os.Signal) (int, error) {
+	defer d.collectCheckpoint(true)
 	for line := d.ingested + 1; sc.Scan(); line++ {
 		select {
 		case s := <-sig:
@@ -354,7 +383,8 @@ func (d *daemon) serve(sc *bufio.Scanner, every int64, killAfter int, sig <-chan
 			return 0, fmt.Errorf("event %d: %w", line, err)
 		}
 		d.publish()
-		if d.store != nil && d.live.Events() >= d.lastCkpt+every {
+		d.collectCheckpoint(false)
+		if d.store != nil && d.live.Events() >= d.ckptFrom+every {
 			d.checkpointNow("interval")
 		}
 		if killAfter > 0 && d.ingested >= killAfter {
@@ -473,18 +503,22 @@ func (d *daemon) activate(b *controller.Bundle, h uint64) {
 	}
 	d.active = b
 	d.activeH = h
+	d.activeHex = fmt.Sprintf("%016x", h)
 	d.order = append(d.order, h)
 }
 
-// checkpointNow snapshots the engine and saves it to the store. A
-// failed save is recorded, not fatal: the daemon keeps serving and
-// /healthz reports 503 until a later snapshot succeeds — crash
-// recovery is degraded to the last durable snapshot, which is exactly
-// what the store's fallback walk already handles.
+// checkpointNow captures the engine on the serving goroutine, which
+// alone can quiesce it, and hands the capture to a goroutine that saves
+// it to the store; a previous write still in flight is waited for
+// first, so at most one is. A failed save is recorded, not fatal: the
+// daemon keeps serving and /healthz reports 503 until a later snapshot
+// succeeds — crash recovery is degraded to the last durable snapshot,
+// which is exactly what the store's fallback walk already handles.
 func (d *daemon) checkpointNow(why string) {
 	if d.store == nil {
 		return
 	}
+	d.collectCheckpoint(true)
 	cap, err := d.live.Checkpoint()
 	if err != nil {
 		log.Fatalf("checkpoint (%s): %v", why, err)
@@ -498,17 +532,45 @@ func (d *daemon) checkpointNow(why string) {
 		},
 		Capture: cap,
 	}
-	path, err := d.store.Save(snap)
-	if err != nil {
-		d.lastCkptErr = err.Error()
-		d.publish()
-		log.Printf("checkpoint (%s): %v", why, err)
+	w := &snapshotWrite{why: why, events: cap.Events, ingested: d.ingested, done: make(chan struct{})}
+	d.saving = w
+	d.ckptFrom = cap.Events
+	go func(snap *checkpoint.Snapshot) {
+		w.path, w.err = d.store.Save(snap)
+		close(w.done)
+	}(snap)
+}
+
+// collectCheckpoint records the snapshot write in flight once it has
+// finished: with wait it blocks until then, without it a write still
+// running is left alone. Only a durable snapshot advances lastCkpt; a
+// failed one re-arms the interval, so the next event checkpoints again.
+func (d *daemon) collectCheckpoint(wait bool) {
+	w := d.saving
+	if w == nil {
 		return
 	}
-	d.lastCkpt = cap.Events
+	if wait {
+		<-w.done
+	} else {
+		select {
+		case <-w.done:
+		default:
+			return
+		}
+	}
+	d.saving = nil
+	if w.err != nil {
+		d.lastCkptErr = w.err.Error()
+		d.ckptFrom = d.lastCkpt
+		d.publish()
+		log.Printf("checkpoint (%s): %v", w.why, w.err)
+		return
+	}
+	d.lastCkpt = w.events
 	d.lastCkptErr = ""
 	d.publish()
-	log.Printf("checkpoint (%s): %s at %d engine events, %d ingested", why, path, cap.Events, d.ingested)
+	log.Printf("checkpoint (%s): %s at %d engine events, %d ingested", w.why, w.path, w.events, w.ingested)
 }
 
 // tryResume loads the newest valid snapshot, rebuilds the fed
@@ -542,6 +604,7 @@ func (d *daemon) tryResume(sc *bufio.Scanner) error {
 	}
 	d.active = d.bundles[d.order[len(d.order)-1]]
 	d.activeH = d.order[len(d.order)-1]
+	d.activeHex = fmt.Sprintf("%016x", d.activeH)
 
 	d.bundleOf = append([]int32(nil), snap.Meta.StreamBundle...)
 	var streams []fleet.Stream
@@ -579,6 +642,7 @@ func (d *daemon) tryResume(sc *bufio.Scanner) error {
 	}
 	d.ingested = snap.Meta.ArrivalCursor
 	d.lastCkpt = snap.Capture.Events
+	d.ckptFrom = d.lastCkpt
 	d.replayLen.Set(int64(snap.Meta.ArrivalCursor))
 	log.Printf("resumed from %s: %d engine events, %d ingested events, %d streams",
 		path, snap.Capture.Events, d.ingested, d.live.Population())
@@ -612,7 +676,7 @@ func (d *daemon) publish() {
 		EngineEvents:        d.live.Events(),
 		Population:          d.live.Population(),
 		Backlog:             d.live.Backlog(),
-		ActiveBundle:        fmt.Sprintf("%016x", d.activeH),
+		ActiveBundle:        d.activeHex,
 		Swaps:               d.swaps,
 		LastCheckpoint:      d.lastCkpt,
 		LastCheckpointError: d.lastCkptErr,
@@ -671,13 +735,21 @@ func (d *daemon) report(w io.Writer, res *fleet.OpenResult, jsonPath string) err
 		Summary:     fsum,
 		Open:        &open,
 	}
+	// The document commits on its own goroutine while the table
+	// renders; the table prints only once the commit has succeeded.
+	var commit chan error
 	if jsonPath != "" && flat.Err() == nil {
-		if err := checkpoint.WriteAtomic(jsonPath, doc.WriteJSON); err != nil {
+		commit = make(chan error, 1)
+		go func() { commit <- checkpoint.WriteAtomic(jsonPath, doc.WriteJSON) }()
+	}
+	table := report.OpenTable(res, open, flat, fsum)
+	if commit != nil {
+		if err := <-commit; err != nil {
 			return err
 		}
 	}
 	fmt.Fprintf(w, "served              %d events → %d streams (%d swaps), %d engine events\n",
 		d.ingested, n, d.swaps, d.live.Events())
-	fmt.Fprint(w, report.OpenTable(res, open, flat, fsum))
+	fmt.Fprint(w, table)
 	return nil
 }

@@ -214,6 +214,76 @@ func TestKillResumeAtEveryBoundary(t *testing.T) {
 	}
 }
 
+// TestFailedSnapshotIsReportedAndRetried: a snapshot write that fails —
+// here because the state directory is gone — is published as the last
+// checkpoint error while the daemon keeps serving. It re-arms the
+// interval, so once the directory is back the next event writes a
+// durable snapshot that clears the error and advances the last
+// checkpoint. A killed serve returns only once its snapshot is durable:
+// the newest one records the kill line as its ingest cursor.
+func TestFailedSnapshotIsReportedAndRetried(t *testing.T) {
+	cfg, _ := drillConfig(t)
+	cfg.state = filepath.Join(t.TempDir(), "state")
+	d, err := newDaemon(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(cfg.events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
+	// serveTo serves the lines after those already ingested up to line
+	// to, checkpointing at every engine event.
+	serveTo := func(to, killAfter int) int {
+		t.Helper()
+		sc := newEventScanner(strings.NewReader(strings.Join(lines[d.ingested:to], "\n")))
+		end, err := d.serve(sc, 1, killAfter, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return end
+	}
+
+	serveTo(3, 0)
+	healthy := d.obs.Load()
+	if healthy.LastCheckpoint == 0 || healthy.LastCheckpointError != "" {
+		t.Fatalf("after 3 lines: %+v, want a durable snapshot", healthy)
+	}
+
+	if err := os.RemoveAll(cfg.state); err != nil {
+		t.Fatal(err)
+	}
+	serveTo(5, 0)
+	failed := d.obs.Load()
+	if failed.LastCheckpointError == "" || failed.LastCheckpoint != healthy.LastCheckpoint {
+		t.Fatalf("snapshots into a removed state directory: %+v, want an error and last checkpoint %d",
+			failed, healthy.LastCheckpoint)
+	}
+
+	if err := os.Mkdir(cfg.state, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	// Line 6 is a swap, which processes no engine event: only the
+	// interval the failure re-armed checkpoints here.
+	serveTo(6, 0)
+	retried := d.obs.Load()
+	if retried.LastCheckpointError != "" || retried.LastCheckpoint <= healthy.LastCheckpoint {
+		t.Fatalf("after the directory is back: %+v, want no error and a checkpoint past %d",
+			retried, healthy.LastCheckpoint)
+	}
+
+	const killLine = 10
+	if end := serveTo(len(lines), killLine); end != killed {
+		t.Fatalf("serve ended with %d, want killed", end)
+	}
+	d.live.Abort()
+	snap, path, err := d.store.LoadLatest(d.fp)
+	if err != nil || snap == nil || snap.Meta.ArrivalCursor != killLine {
+		t.Fatalf("after the kill: newest snapshot %s (err %v) does not record line %d", path, err, killLine)
+	}
+}
+
 // TestUnknownManagerFailsAtStartup: a manager name fleet cannot build
 // fails the daemon before it writes any state, not at the first
 // arrival.

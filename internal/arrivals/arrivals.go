@@ -267,7 +267,13 @@ func parseInstant(field string, seconds bool) (core.Time, error) {
 	if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
 		return 0, fmt.Errorf("bad arrival instant %q", field)
 	}
-	return core.Time(math.Round(v * float64(core.Second))), nil
+	// Go leaves the conversion of an out-of-range float to an integer to
+	// the implementation, so such an instant is rejected before it.
+	ticks := math.Round(v * float64(core.Second))
+	if ticks >= math.MaxInt64 || ticks < math.MinInt64 {
+		return 0, fmt.Errorf("arrival instant %q is out of range", field)
+	}
+	return core.Time(ticks), nil
 }
 
 func validate(n int) error {

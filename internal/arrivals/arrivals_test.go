@@ -1,7 +1,9 @@
 package arrivals
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -168,6 +170,10 @@ func TestReadCSV(t *testing.T) {
 	if _, err := ReadCSV(strings.NewReader("arrival\nnot-a-number")); err == nil {
 		t.Fatal("garbage row accepted")
 	}
+	// 1e10 s is more ticks than an int64 holds.
+	if _, err := ReadCSV(strings.NewReader("1e10\n")); err == nil || !strings.Contains(err.Error(), "out of range") {
+		t.Fatalf("out-of-range instant: err = %v", err)
+	}
 
 	// A corrupted first data row is an error, not a header: the header
 	// heuristic must not silently drop an arrival whose value merely
@@ -177,4 +183,51 @@ func TestReadCSV(t *testing.T) {
 			t.Fatalf("corrupt first row %q accepted as a header", bad)
 		}
 	}
+}
+
+// FuzzReadCSV: the trace reader never panics, every error it returns
+// carries the package prefix, and an accepted trace, written back as
+// integer ticks, re-reads to the same instants.
+func FuzzReadCSV(f *testing.F) {
+	for _, in := range []string{
+		"arrival\n# a comment\n\n1000\n0.5, streamxyz\n2.5e-9\n",
+		"10\n1000\n",
+		"# recorded 2026-07-28\n\ntimestamp\n1000\n",
+		"12x34\n1000\n",
+		"-\n1000\n",
+		".5.5\n1000\n",
+		",123\n456\n",
+		"-5\n",
+		"1e10\n",
+		"NaN\n",
+		"arrival\n",
+		"",
+	} {
+		f.Add(in)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		tr, err := ReadCSV(strings.NewReader(in))
+		if err != nil {
+			if !strings.HasPrefix(err.Error(), "arrivals: ") {
+				t.Fatalf("error without the arrivals: prefix: %v", err)
+			}
+			return
+		}
+		got, err := tr.Times(tr.Len())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ticks strings.Builder
+		for _, at := range got {
+			fmt.Fprintf(&ticks, "%d\n", int64(at))
+		}
+		back, err := ReadCSV(strings.NewReader(ticks.String()))
+		if err != nil {
+			t.Fatalf("%q read as %v, but its ticks %q do not re-read: %v", in, got, ticks.String(), err)
+		}
+		again, err := back.Times(back.Len())
+		if err != nil || !slices.Equal(again, got) {
+			t.Fatalf("%q read as %v, its ticks re-read as %v (%v)", in, got, again, err)
+		}
+	})
 }

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -38,15 +39,87 @@ type FleetDoc struct {
 	Cluster *ClusterSummary `json:"cluster,omitempty"`
 }
 
-// WriteJSON persists the doc as indented JSON.
+// WriteJSON persists the doc as indented JSON: the bytes of
+// json.MarshalIndent(d, "", "  ") and a newline. A json.Encoder writes
+// the compact encoding and its newline through an indenter into w, so
+// neither a copy of the encoding nor the indented document, about twice
+// its size, is held in memory.
 func (d *FleetDoc) WriteJSON(w io.Writer) error {
-	out, err := json.MarshalIndent(d, "", "  ")
-	if err != nil {
-		return fmt.Errorf("metrics: marshal fleet doc: %w", err)
+	bw := bufio.NewWriterSize(w, 64<<10)
+	if err := json.NewEncoder(&indenter{w: bw}).Encode(d); err != nil {
+		return fmt.Errorf("metrics: write fleet doc: %w", err)
 	}
-	out = append(out, '\n')
-	_, err = w.Write(out)
-	return err
+	return bw.Flush()
+}
+
+// indenter is an io.Writer that indents the compact JSON written to it
+// as json.MarshalIndent(v, "", "  ") indents it: each element of a
+// non-empty object or array on its own line, two spaces per level, a
+// space after each colon, and "{}" and "[]" left empty. Compact JSON
+// has no whitespace outside strings and escapes every quote and
+// backslash inside them, so the bytes to act on are the punctuation
+// outside strings; runs of other bytes are copied through as they are.
+type indenter struct {
+	w      *bufio.Writer
+	depth  int
+	opened bool // the last byte opened an object or array
+	inStr  bool // inside a string
+	esc    bool // the last byte was a backslash inside a string
+}
+
+func (x *indenter) Write(p []byte) (int, error) {
+	from := 0 // start of the run not yet written
+	for i, c := range p {
+		if x.inStr {
+			switch {
+			case x.esc:
+				x.esc = false
+			case c == '\\':
+				x.esc = true
+			case c == '"':
+				x.inStr = false
+			}
+			continue
+		}
+		if x.opened {
+			x.opened = false
+			if c == '}' || c == ']' {
+				continue // "{}" or "[]": the run copies it
+			}
+			x.w.Write(p[from:i])
+			from = i
+			x.depth++
+			x.newline()
+		}
+		switch c {
+		case '"':
+			x.inStr = true
+		case '{', '[':
+			x.opened = true
+		case ',':
+			x.w.Write(p[from : i+1])
+			from = i + 1
+			x.newline()
+		case ':':
+			x.w.Write(p[from : i+1])
+			from = i + 1
+			x.w.WriteByte(' ')
+		case '}', ']':
+			x.w.Write(p[from:i])
+			from = i
+			x.depth--
+			x.newline()
+		}
+	}
+	_, err := x.w.Write(p[from:])
+	return len(p), err
+}
+
+func (x *indenter) newline() {
+	x.w.WriteByte('\n')
+	for range x.depth {
+		x.w.WriteString("  ")
+	}
 }
 
 // ReadFleetDoc loads a doc written by WriteJSON.

@@ -116,21 +116,21 @@ func ParseProm(r io.Reader) ([]Sample, error) {
 		}
 		if strings.HasPrefix(text, "#") {
 			if err := parsePromComment(text, typed); err != nil {
-				return nil, fmt.Errorf("line %d: %w", line, err)
+				return nil, fmt.Errorf("obs: line %d: %w", line, err)
 			}
 			continue
 		}
 		s, err := parsePromSample(text)
 		if err != nil {
-			return nil, fmt.Errorf("line %d: %w", line, err)
+			return nil, fmt.Errorf("obs: line %d: %w", line, err)
 		}
 		if err := checkTyped(typed, s.Name); err != nil {
-			return nil, fmt.Errorf("line %d: %w", line, err)
+			return nil, fmt.Errorf("obs: line %d: %w", line, err)
 		}
 		samples = append(samples, s)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("obs: %w", err)
 	}
 	return samples, nil
 }

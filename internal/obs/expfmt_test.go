@@ -1,6 +1,9 @@
 package obs
 
 import (
+	"fmt"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -200,4 +203,72 @@ qmtest_backlog{determinism="serial-order",instance="1"} 2
 			fn()
 		}()
 	}
+}
+
+// FuzzParseProm: the exposition parser never panics, every error it
+// returns carries the package prefix, and an input it accepts,
+// re-rendered from its samples with its TYPE lines where they stood,
+// parses to the same samples.
+func FuzzParseProm(f *testing.F) {
+	var sb strings.Builder
+	if err := promRegistry().WriteProm(&sb); err != nil {
+		f.Fatal(err)
+	}
+	for _, in := range []string{
+		sb.String(),
+		"# TYPE m histogram\nm_bucket{le=\"1\"} 1\nm_bucket{le=\"+Inf\"} 2\nm_sum 3\nm_count 2\n",
+		"# HELP m Help.\n# TYPE m gauge\nm{a=\"x\", b=\"y\"}  -0\nm NaN\nm +Inf\nm 0x1p-2\r\n",
+		"# TYPE m counter\nm 1\n# TYPE m gauge\nm 2\n",
+		"# TYPE m counter\nm{}",
+		"# TYPE m counter\nm{x=\"1\" 3",
+		"# TYPE m counter\n2m 3",
+		"m 3",
+		"# TYPE m zebra\nm 3",
+		"# HELP \nm 3",
+		"",
+	} {
+		f.Add(in)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		samples, err := ParseProm(strings.NewReader(in))
+		if err != nil {
+			if !strings.HasPrefix(err.Error(), "obs: ") {
+				t.Fatalf("error without the obs: prefix: %v", err)
+			}
+			return
+		}
+		// Walk the lines as ParseProm reads them, emitting each TYPE
+		// declaration and, for each sample line, the next sample.
+		var out strings.Builder
+		next := 0
+		for _, line := range strings.Split(in, "\n") {
+			text := strings.TrimSpace(line)
+			switch {
+			case text == "":
+			case strings.HasPrefix(text, "#"):
+				if fields := strings.Fields(text); len(fields) == 4 && fields[1] == "TYPE" {
+					fmt.Fprintf(&out, "# TYPE %s %s\n", fields[2], fields[3])
+				}
+			case next == len(samples):
+				t.Fatalf("%q has more sample lines than the %d samples parsed", in, len(samples))
+			default:
+				s := samples[next]
+				next++
+				fmt.Fprintf(&out, "%s %s\n", s.Series, strconv.FormatFloat(s.Value, 'g', -1, 64))
+			}
+		}
+		back, err := ParseProm(strings.NewReader(out.String()))
+		if err != nil {
+			t.Fatalf("%q parsed, but its re-rendering %q does not: %v", in, out.String(), err)
+		}
+		if next != len(samples) || len(back) != len(samples) {
+			t.Fatalf("%q: %d samples, %d sample lines, %d samples re-parsed", in, len(samples), next, len(back))
+		}
+		for i, s := range samples {
+			b := back[i]
+			if b.Name != s.Name || b.Series != s.Series || b.Value != s.Value && !(math.IsNaN(b.Value) && math.IsNaN(s.Value)) {
+				t.Fatalf("%q: sample %d is %+v, re-parsed as %+v", in, i, s, b)
+			}
+		}
+	})
 }
