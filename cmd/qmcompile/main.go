@@ -1,10 +1,14 @@
 // Command qmcompile is the reproduction of the paper's Figure 1 compiler
 // step: it takes profiled timing tables (from qmprofile), the deadline
 // requirement and the relaxation set, validates the quality-management
-// problem, pre-computes the symbolic tables, and emits a self-contained
-// controller bundle. The bundle is what a deployment loads instead of
-// recomputing regions on the target (the paper's Matlab pre-computation
-// shipped to the iPod).
+// problem, pre-computes the symbolic tables, and emits a controller
+// bundle (format v2): the validated application description plus a
+// digest of the tables compiled from it. The tables are a pure function
+// of that description, so whatever loads the bundle compiles it again
+// and checks the digest; the stderr report gives the table entry counts.
+// -o writes the bundle atomically: the path holds either its previous
+// content or the whole new bundle. Bundles written in format v1 must be
+// recompiled.
 //
 // Usage:
 //
@@ -16,11 +20,13 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strconv"
 	"strings"
 
+	"repro/internal/checkpoint"
 	"repro/internal/controller"
 	"repro/internal/core"
 	"repro/internal/profiler"
@@ -73,13 +79,12 @@ func main() {
 		}
 		return
 	}
-	f, err := os.Create(*out)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
-	n, err := bundle.WriteTo(f)
-	if err != nil {
+	var n int64
+	if err := checkpoint.WriteAtomic(*out, func(w io.Writer) error {
+		var err error
+		n, err = bundle.WriteTo(w)
+		return err
+	}); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "wrote %s (%d bytes)\n", *out, n)

@@ -94,6 +94,59 @@ func TestResumeRejectsIncoherentMeta(t *testing.T) {
 	}
 }
 
+// TestResumeRejectsV1StateDir: bundle format v2 replaced v1, whose
+// files carried their tables, so a state directory written by an older
+// build retains v1 bundles. Resuming it must fail with the loader's
+// error naming the version and qmcompile, not start fresh or panic.
+func TestResumeRejectsV1StateDir(t *testing.T) {
+	src := t.TempDir()
+	bundlePath := filepath.Join(src, "bundle.json")
+	b := writeBundle(t, bundlePath, []int{1})
+	events := filepath.Join(src, "events.ndjson")
+	if err := os.WriteFile(events, []byte(`{"op":"arrive","name":"s0","at":0,"cycles":1,"seed":1}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	fresh := func() *daemon {
+		return &daemon{
+			stateDir: dir,
+			store:    &checkpoint.Store{Dir: dir},
+			fp:       "qmfleetd-test",
+			bundles:  map[uint64]*controller.Bundle{},
+		}
+	}
+	d := fresh()
+	_, h, err := d.loadBundle(bundlePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.store.Save(&checkpoint.Snapshot{
+		Meta:    checkpoint.Meta{Fingerprint: d.fp, BundleHashes: []uint64{h}},
+		Capture: &fleet.OpenCapture{},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// Rewrite the retained copy as an older build wrote it: the spec
+	// beside its tables, with no format field.
+	v1, err := json.Marshal(map[string]any{"spec": b.Spec(), "tables": map[string]any{}, "relax": map[string]any{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(d.bundleFile(h), v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	f, err := os.Open(events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	err = fresh().tryResume(newEventScanner(f))
+	if err == nil || !strings.Contains(err.Error(), "format v1") || !strings.Contains(err.Error(), "qmcompile") {
+		t.Fatalf("tryResume over a v1 state directory = %v, want the bundle version error", err)
+	}
+}
+
 // drillConfig writes a small serving input and returns the daemon
 // configuration that serves it and the event file's line count. The
 // event file holds 14 arrivals, dense enough that cap-2 admission

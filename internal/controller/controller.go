@@ -3,15 +3,16 @@
 // timing functions Cav/Cwc, deadline function D) plus the controller
 // parameters (relaxation set ρ), validates the quality-management
 // problem, pre-computes the speed-diagram tables, and packages
-// everything into one self-contained, serialisable **Bundle** — the
-// moral equivalent of the binary the BIP/THINK chain loaded onto the
-// iPod. A bundle can be saved, shipped, reloaded, and instantiated into
-// any of the three Quality Managers without access to the original
-// timing sources.
+// everything into one self-contained **Bundle** — the moral equivalent
+// of the binary the BIP/THINK chain loaded onto the iPod. The tables are
+// a pure function of the application description, so a bundle file is
+// that description plus a digest of the tables compiled from it;
+// loading one compiles it again and checks the digest. A bundle can be
+// saved, shipped, reloaded, and instantiated into any of the three
+// Quality Managers without access to the original timing sources.
 package controller
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -106,12 +107,26 @@ func buildSystem(spec Spec) (*core.System, error) {
 	if spec.Levels < 2 {
 		return nil, fmt.Errorf("controller: need ≥2 quality levels, got %d", spec.Levels)
 	}
-	tt := core.NewTimingTable(len(spec.Actions), spec.Levels)
-	actions := make([]core.Action, len(spec.Actions))
+	// Check every row before allocating, so the table is never larger
+	// than the rows the spec actually holds. The worst-case cycle at the
+	// highest level bounds every prefix sum the tables and the executor
+	// form (Cav ≤ Cwc and both rise with the level, which NewSystem
+	// checks), so keeping it below TimeInf keeps that arithmetic exact.
+	cycle := int64(0)
 	for i, a := range spec.Actions {
 		if len(a.Av) != spec.Levels || len(a.WC) != spec.Levels {
 			return nil, fmt.Errorf("controller: action %d (%s): timing rows must have %d entries", i, a.Name, spec.Levels)
 		}
+		if wc := a.WC[spec.Levels-1]; wc > 0 {
+			cycle += min(wc, int64(core.TimeInf)-cycle)
+		}
+	}
+	if cycle >= int64(core.TimeInf) {
+		return nil, fmt.Errorf("controller: worst-case cycle at the highest level reaches %v, the limit of representable time", core.TimeInf)
+	}
+	tt := core.NewTimingTable(len(spec.Actions), spec.Levels)
+	actions := make([]core.Action, len(spec.Actions))
+	for i, a := range spec.Actions {
 		for q := 0; q < spec.Levels; q++ {
 			tt.Set(i, core.Level(q), core.Time(a.Av[q]), core.Time(a.WC[q]))
 		}
@@ -124,6 +139,12 @@ func buildSystem(spec Spec) (*core.System, error) {
 	sys, err := core.NewSystem(actions, tt)
 	if err != nil {
 		return nil, fmt.Errorf("controller: %w", err)
+	}
+	// Cycles run back to back, one period (the last deadline) apart.
+	// Actions after the last deadline are unconstrained, so they could
+	// run the cycle past the next one's start and make it miss.
+	if last := len(actions) - 1; !actions[last].HasDeadline() {
+		return nil, fmt.Errorf("controller: action %d (%s): the last action of a cycle must carry a deadline", last, actions[last].Name)
 	}
 	if err := sys.Feasible(); err != nil {
 		return nil, fmt.Errorf("controller: %w", err)
@@ -166,62 +187,62 @@ func (b *Bundle) Hash() (uint64, error) {
 	return h.Sum64(), nil
 }
 
-// bundleJSON is the wire format: the spec plus both table payloads, so a
-// loaded bundle needs no recomputation.
+// formatVersion is the bundle file format WriteTo writes and Load
+// reads. Format 1 carried the tables themselves and had no format field;
+// format 2 carries the spec and the digest of the tables compiled from it.
+const formatVersion = 2
+
+// bundleJSON is the wire format.
 type bundleJSON struct {
-	Spec   Spec            `json:"spec"`
-	Tables json.RawMessage `json:"tables"`
-	Relax  json.RawMessage `json:"relax"`
+	Format int    `json:"format"`
+	Spec   Spec   `json:"spec"`
+	Digest string `json:"digest"` // RelaxTables.Digest of the compiled tables, hex
 }
 
-// WriteTo serialises the bundle (spec + pre-computed tables) as JSON.
+// digest is the hex form of the compiled tables' digest.
+func (b *Bundle) digest() string { return fmt.Sprintf("%016x", b.relax.Digest()) }
+
+// WriteTo serialises the bundle (spec + tables digest) as JSON.
 func (b *Bundle) WriteTo(w io.Writer) (int64, error) {
-	var tabBuf, relaxBuf bytes.Buffer
-	if _, err := b.tab.WriteTo(&tabBuf); err != nil {
-		return 0, err
-	}
-	if _, err := b.relax.WriteTo(&relaxBuf); err != nil {
-		return 0, err
-	}
-	j := bundleJSON{Spec: b.spec, Tables: tabBuf.Bytes(), Relax: relaxBuf.Bytes()}
+	j := bundleJSON{Format: formatVersion, Spec: b.spec, Digest: b.digest()}
 	cw := &countWriter{w: w}
 	err := json.NewEncoder(cw).Encode(j)
 	return cw.n, err
 }
 
-// Load reads a bundle written by WriteTo, revalidates the spec and
-// re-binds the stored tables (verifying dimensions). The tables are NOT
-// recomputed: load cost is parsing only, mirroring the paper's
-// pre-computed deployment. A corrupt or truncated bundle is always an
-// error naming the failing section and, for parse failures, the byte
-// offset — never a panic (property-tested by FuzzLoadBundle): a serving
-// daemon hot-swapping bundles must survive any file it is pointed at.
+// Load reads a bundle written by WriteTo and compiles its spec, so the
+// loaded tables are always the ones Compile builds; then it checks them
+// against the recorded digest, so a compiler change that alters the
+// tables fails here rather than serving other decisions under the same
+// bundle. A file of any other format version fails with an error naming
+// that version; such bundles must be recompiled with qmcompile. A
+// corrupt or truncated bundle is always an error — naming the byte
+// offset for parse failures and the offending action for spec failures
+// — never a panic (property-tested by FuzzLoadBundle): a serving daemon
+// hot-swapping bundles must survive any file it is pointed at.
 func Load(r io.Reader) (*Bundle, error) {
-	var j bundleJSON
+	j := bundleJSON{Format: 1} // format 1 files carry no format field
 	if err := json.NewDecoder(r).Decode(&j); err != nil {
-		return nil, loadErr("bundle envelope", err)
+		return nil, loadErr(err)
 	}
-	// Rebuild the system from the spec (cheap), then attach tables.
-	skeleton, err := compileSystemOnly(j.Spec)
+	if j.Format != formatVersion {
+		return nil, fmt.Errorf("controller: bundle format v%d is not supported (this build reads v%d); recompile the bundle with qmcompile", j.Format, formatVersion)
+	}
+	b, err := Compile(j.Spec)
 	if err != nil {
 		return nil, err
 	}
-	tab, err := regions.LoadTDTable(bytes.NewReader(j.Tables), skeleton)
-	if err != nil {
-		return nil, loadErr("quality-region table", err)
+	if got := b.digest(); got != j.Digest {
+		return nil, fmt.Errorf("controller: tables digest %s does not match the recorded %q; recompile the bundle with qmcompile", got, j.Digest)
 	}
-	relax, err := regions.LoadRelaxTables(bytes.NewReader(j.Relax), tab)
-	if err != nil {
-		return nil, loadErr("relaxation tables", err)
-	}
-	return &Bundle{spec: j.Spec, sys: skeleton, tab: tab, relax: relax}, nil
+	return b, nil
 }
 
-// loadErr wraps a section's load failure with the section name and,
-// when the underlying JSON decoder reports one, the byte offset where
-// parsing derailed — so "bundle won't load" diagnoses to a place, not
-// just a feeling.
-func loadErr(section string, err error) error {
+// loadErr wraps a decode failure of the bundle envelope with, when the
+// JSON decoder reports one, the byte offset where parsing derailed — so
+// "bundle won't load" diagnoses to a place, not just a feeling.
+func loadErr(err error) error {
+	const section = "bundle envelope"
 	var syn *json.SyntaxError
 	if errors.As(err, &syn) {
 		return fmt.Errorf("controller: %s: syntax error at byte offset %d: %w", section, syn.Offset, err)
@@ -240,11 +261,7 @@ func loadErr(section string, err error) error {
 	return fmt.Errorf("controller: %s: %w", section, err)
 }
 
-func compileSystemOnly(spec Spec) (*core.System, error) {
-	return buildSystem(spec)
-}
-
-// countWriter mirrors the regions package's helper.
+// countWriter counts the bytes WriteTo emits.
 type countWriter struct {
 	w io.Writer
 	n int64

@@ -2,14 +2,17 @@ package controller
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/profiler"
 	"repro/internal/sim"
+	"repro/internal/workloads"
 )
 
 // validSpec builds a small, feasible spec.
@@ -57,6 +60,22 @@ func TestCompileRejectsBadSpecs(t *testing.T) {
 		{"infeasible", func(s *Spec) { s.Actions[len(s.Actions)-1].Deadline = 1 }, "infeasible"},
 		{"av above wc", func(s *Spec) { s.Actions[3].Av[1] = s.Actions[3].WC[1] + 1 }, "exceeds"},
 		{"bad rho", func(s *Spec) { s.Rho = []int{4} }, "relaxation"},
+		// The next two specs missed deadlines at worst-case times under
+		// FuzzLoadBundle's guarantee. An action after the last deadline
+		// can run its cycle into the next one's start.
+		{"trailing action", func(s *Spec) {
+			s.Actions = append(s.Actions, ActionSpec{Av: []int64{1, 2, 3, 4}, WC: []int64{1, 2, 3, 4}})
+		}, "must carry a deadline"},
+		// Timing rows whose sums overflow int64 wrap the tables and the
+		// feasibility check.
+		{"overflow", func(s *Spec) {
+			*s = Spec{Levels: 2, Actions: []ActionSpec{
+				{Av: []int64{1, 10}, WC: []int64{1 << 61, 1 << 61}, Deadline: 1<<62 - 1},
+				{Av: []int64{1 << 61, 1 << 62}, WC: []int64{1<<63 - 6, 1<<63 - 6}, Deadline: 10},
+				{Av: []int64{1, 1 << 62}, WC: []int64{1 << 62, 1<<63 - 1}, Deadline: 1000},
+				{Av: []int64{1, 1 << 60}, WC: []int64{1 << 61, 1<<63 - 1}, Deadline: 1000},
+			}}
+		}, "representable time"},
 	}
 	for _, c := range cases {
 		spec := validSpec()
@@ -110,6 +129,64 @@ func TestBundleRoundTrip(t *testing.T) {
 		}
 		if d1, d2 := s1.Decide(i, tm), s2.Decide(i, tm); d1 != d2 {
 			t.Fatalf("symbolic decisions diverge at (%d, %v)", i, tm)
+		}
+	}
+}
+
+// TestLoadRecompilesIdenticalTables: for the bundles the benchmark
+// workloads compile (serve-checkpoint's two, cluster-mix's three) and
+// for the paper encoder, the tables Load compiles equal the written
+// bundle's entry for entry, and the reloaded bundle hashes the same.
+func TestLoadRecompilesIdenticalTables(t *testing.T) {
+	cat, err := workloads.Catalog()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var specs []Spec
+	for _, name := range []string{"sdr-pipeline", "audio-encoder"} {
+		specs = append(specs, SpecFromSystem(name, cat[name], []int{1, 5, 10, 25}))
+	}
+	for _, name := range []string{"audio-encoder", "sdr-pipeline", "video-decoder"} {
+		specs = append(specs, SpecFromSystem(name, cat[name], nil))
+	}
+	specs = append(specs, SpecFromSystem("paper-encoder", profiler.IPodSystem(), []int{1, 10, 20, 30, 40, 50}))
+	for _, spec := range specs {
+		b, err := Compile(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if _, err := b.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := Load(&buf)
+		if err != nil {
+			t.Fatalf("%s: %v", spec.Name, err)
+		}
+		sys := b.System()
+		for q := core.Level(0); q <= sys.QMax(); q++ {
+			for i := 0; i <= sys.NumActions(); i++ {
+				if got, want := loaded.Tables().TD(i, q), b.Tables().TD(i, q); got != want {
+					t.Fatalf("%s: tD(%d, %v) = %v, want %v", spec.Name, i, q, got, want)
+				}
+			}
+			for ri := range b.RelaxTables().Rho() {
+				for i := 0; i < sys.NumActions(); i++ {
+					glo, ghi := loaded.RelaxTables().Interval(i, q, ri)
+					wlo, whi := b.RelaxTables().Interval(i, q, ri)
+					if glo != wlo || ghi != whi {
+						t.Fatalf("%s: relaxation interval (%d, %v, %d) differs", spec.Name, i, q, ri)
+					}
+				}
+			}
+		}
+		if !reflect.DeepEqual(loaded.RelaxTables().Rho(), b.RelaxTables().Rho()) {
+			t.Fatalf("%s: rho %v, want %v", spec.Name, loaded.RelaxTables().Rho(), b.RelaxTables().Rho())
+		}
+		h1, err1 := b.Hash()
+		h2, err2 := loaded.Hash()
+		if err1 != nil || err2 != nil || h1 != h2 {
+			t.Fatalf("%s: hash %016x (%v) after reload, %016x (%v) before", spec.Name, h2, err2, h1, err1)
 		}
 	}
 }
@@ -255,4 +332,60 @@ func TestCompiledControllerRunsSafely(t *testing.T) {
 	if trc.Misses != 0 {
 		t.Fatalf("compiled controller missed %d deadlines", trc.Misses)
 	}
+}
+
+// TestLoadRejectsInflatedTables keeps the two ways a bundle could carry
+// tables that void the guarantee. A v1 file carried its tables, and a
+// loader that trusted them accepted one with 2 ms added to every finite
+// tD entry and relaxation upper bound; it must now fail on its version.
+// A v2 file whose deadline was raised after compiling must fail on the
+// digest, since its spec no longer compiles to the recorded tables.
+func TestLoadRejectsInflatedTables(t *testing.T) {
+	spec := validSpec()
+	b, err := Compile(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Run("inflated v1 tables", func(t *testing.T) {
+		_, err := Load(bytes.NewReader(inflatedV1Bundle(t, b)))
+		if err == nil || !strings.Contains(err.Error(), "format v1") || !strings.Contains(err.Error(), "qmcompile") {
+			t.Fatalf("inflated v1 bundle: %v", err)
+		}
+	})
+	t.Run("v2 deadline raised after compiling", func(t *testing.T) {
+		var buf bytes.Buffer
+		if _, err := b.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		last := spec.Actions[len(spec.Actions)-1].Deadline
+		raised := strings.Replace(buf.String(), fmt.Sprintf(`"deadline":%d`, last),
+			fmt.Sprintf(`"deadline":%d`, last+int64(2*core.Millisecond)), 1)
+		if raised == buf.String() {
+			t.Fatal("deadline not found in the written bundle")
+		}
+		_, err := Load(strings.NewReader(raised))
+		if err == nil || !strings.Contains(err.Error(), "digest") {
+			t.Fatalf("v2 bundle with a raised deadline: %v", err)
+		}
+	})
+}
+
+// TestLoadRejectsHostileRho: Load compiles what it reads, so a small
+// file must not be able to ask for huge tables. The ~77 KB hostile-ρ
+// file fails on its step count before any relaxation row is allocated.
+func TestLoadRejectsHostileRho(t *testing.T) {
+	data := hostileRhoBundle(t)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, err := Load(bytes.NewReader(data))
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "2000 steps, limit is 32") {
+		t.Fatalf("hostile rho: %v", err)
+	}
+	got := after.TotalAlloc - before.TotalAlloc
+	if got > 4<<20 {
+		t.Fatalf("rejecting a %d-byte file allocated %d bytes", len(data), got)
+	}
+	t.Logf("rejecting a %d-byte file allocated %d bytes", len(data), got)
 }

@@ -68,7 +68,7 @@ func BenchmarkDecideRelaxedCached(b *testing.B) {
 // E12c/E12d — the same pair for the pure symbolic manager.
 func BenchmarkDecideSymbolicUncached(b *testing.B) {
 	rt := benchTables(b)
-	benchDecide(b, NewSymbolicManagerUncached(rt.TDTable()), rt)
+	benchDecide(b, newSymbolicManagerUncached(rt.TDTable()), rt)
 }
 
 func BenchmarkDecideSymbolicCached(b *testing.B) {

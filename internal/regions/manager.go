@@ -26,11 +26,11 @@ func NewSymbolicManager(tab *TDTable) *SymbolicManager {
 	return &SymbolicManager{tab: tab}
 }
 
-// NewSymbolicManagerUncached builds a manager that re-runs the Choose
+// newSymbolicManagerUncached builds a manager that re-runs the Choose
 // binary search on every call instead of consulting the decision plan:
 // the executable specification the cached manager is property-tested
 // against, and the baseline its speedup is benchmarked against.
-func NewSymbolicManagerUncached(tab *TDTable) *SymbolicManager {
+func newSymbolicManagerUncached(tab *TDTable) *SymbolicManager {
 	return &SymbolicManager{tab: tab, uncached: true}
 }
 

@@ -80,7 +80,7 @@ func TestQuickPlanEqualsUncachedSymbolic(t *testing.T) {
 		sys := qsys(seed, a, b, c)
 		td := BuildTDTable(sys)
 		cached := NewSymbolicManager(td)
-		uncached := NewSymbolicManagerUncached(td)
+		uncached := newSymbolicManagerUncached(td)
 		rng := rand.New(rand.NewSource(seed ^ 0x1bd1))
 		for i := 0; i < sys.NumActions(); i++ {
 			for _, tm := range planProbeTimes(td, nil, i, rng) {

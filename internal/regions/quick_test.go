@@ -88,7 +88,7 @@ func TestQuickBuildersAgree(t *testing.T) {
 		sys := qsys(seed, a, b, c)
 		s := BuildTDTable(sys)
 		p := BuildTDTableParallel(sys)
-		r := BuildTDTableReference(sys)
+		r := buildTDTableReference(sys)
 		for q := core.Level(0); q <= sys.QMax(); q++ {
 			for i := 0; i <= sys.NumActions(); i++ {
 				if s.TD(i, q) != p.TD(i, q) || s.TD(i, q) != r.TD(i, q) {

@@ -45,6 +45,11 @@ func BuildRelaxTables(td *TDTable, rho []int) (*RelaxTables, error) {
 	return rt, nil
 }
 
+// maxRelaxSteps caps |ρ|. The tables hold 2·|A|·|Q|·|ρ| integers, and
+// bundles are compiled from specs read from outside, so the step count
+// is what keeps their size proportional to the spec's own.
+const maxRelaxSteps = 32
+
 // newRelaxTables validates rho and allocates the tables' rows, shared
 // by the serial and parallel builders.
 func newRelaxTables(td *TDTable, rho []int) (*RelaxTables, error) {
@@ -64,6 +69,9 @@ func newRelaxTables(td *TDTable, rho []int) (*RelaxTables, error) {
 	}
 	if uniq[0] != 1 {
 		return nil, fmt.Errorf("regions: relaxation set must contain 1 (R¹_q = R_q)")
+	}
+	if len(uniq) > maxRelaxSteps {
+		return nil, fmt.Errorf("regions: relaxation set has %d steps, limit is %d", len(uniq), maxRelaxSteps)
 	}
 
 	n := td.sys.NumActions()
@@ -106,7 +114,7 @@ func fillRelaxLevel(rt *RelaxTables, q int) {
 	for ri, r := range rt.rho {
 		up, lo := rt.upper[q][ri], rt.lower[q][ri]
 		// Monotonic deque of indices with increasing e values.
-		deque := make([]int, 0, r+1)
+		deque := make([]int, 0, min(r, n)+1)
 		for j := 0; j < n; j++ {
 			for len(deque) > 0 && e[deque[len(deque)-1]] >= e[j] {
 				deque = deque[:len(deque)-1]
@@ -190,10 +198,38 @@ func (rt *RelaxTables) NumEntries() int {
 // MemoryBytes returns the resident size of the table payload in bytes.
 func (rt *RelaxTables) MemoryBytes() int { return rt.NumEntries() * 8 }
 
-// Validate checks structural invariants: R^r_q ⊆ R_q (upper bounds never
+// Digest returns a 64-bit FNV-1a digest of the compiled tables: the tD
+// slab in storage order, then ρ, then each relaxation row's upper and
+// lower bounds in [q][ri] order, folding in one 64-bit word per entry.
+// Every fold step is a bijection of the running state, so changing any
+// single entry changes the digest.
+func (rt *RelaxTables) Digest() uint64 {
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	fold := func(v int64) { h = (h ^ uint64(v)) * prime }
+	for _, v := range rt.td.td {
+		fold(int64(v))
+	}
+	for _, r := range rt.rho {
+		fold(int64(r))
+	}
+	for q := range rt.upper {
+		for ri := range rt.rho {
+			for _, v := range rt.upper[q][ri] {
+				fold(int64(v))
+			}
+			for _, v := range rt.lower[q][ri] {
+				fold(int64(v))
+			}
+		}
+	}
+	return h
+}
+
+// validate checks structural invariants: R^r_q ⊆ R_q (upper bounds never
 // exceed tD(s_i, q), lower bounds never fall below the R_q lower border),
 // and nesting R^{r'}_q ⊆ R^r_q for r' ≥ r.
-func (rt *RelaxTables) Validate() error {
+func (rt *RelaxTables) validate() error {
 	sys := rt.td.sys
 	n := sys.NumActions()
 	for q := 0; q < sys.NumLevels(); q++ {

@@ -1,7 +1,9 @@
 package regions
 
 import (
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -25,6 +27,25 @@ func TestBuildRelaxTablesValidation(t *testing.T) {
 	}
 	if got := rt.Rho(); len(got) != 3 || got[0] != 1 || got[1] != 3 || got[2] != 5 {
 		t.Fatalf("rho = %v, want [1 3 5]", got)
+	}
+	// Bundles are compiled from specs read from outside: |ρ| is capped
+	// before any row is allocated, and a step longer than the cycle
+	// builds empty rows instead of sizing a buffer by the step.
+	rho := make([]int, maxRelaxSteps+1)
+	for i := range rho {
+		rho[i] = i + 1
+	}
+	if _, err := BuildRelaxTablesParallel(tab, rho[:maxRelaxSteps]); err != nil {
+		t.Errorf("|rho| at the limit rejected: %v", err)
+	}
+	if _, err := BuildRelaxTablesParallel(tab, rho); err == nil || !strings.Contains(err.Error(), "33 steps, limit is 32") {
+		t.Errorf("|rho| above the limit: %v", err)
+	}
+	if rt, err = BuildRelaxTablesParallel(tab, []int{1, math.MaxInt}); err != nil {
+		t.Fatal(err)
+	}
+	if rt.InRegion(0, 0, 0, 1) {
+		t.Error("a step longer than the cycle admitted a relaxation")
 	}
 }
 
@@ -97,7 +118,7 @@ func TestRelaxRegionsNested(t *testing.T) {
 	for seed := int64(0); seed < 15; seed++ {
 		sys := randSys(seed, core.RandomSystemConfig{Actions: 30, DeadlineEvery: 5})
 		rt := MustBuildRelaxTables(BuildTDTable(sys), []int{1, 2, 4, 8})
-		if err := rt.Validate(); err != nil {
+		if err := rt.validate(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
@@ -187,5 +208,57 @@ func TestStepsAlwaysAtLeastOne(t *testing.T) {
 		if i+r > sys.NumActions() {
 			t.Fatalf("granted %d steps at state %d of %d", r, i, sys.NumActions())
 		}
+	}
+}
+
+// TestRelaxTablesSerialisationRoundTrip: the digest is equal for the
+// serial and the parallel relaxation build, and changes when any one
+// upper or lower bound changes.
+func TestRelaxTablesSerialisationRoundTrip(t *testing.T) {
+	sys := randSys(40, core.RandomSystemConfig{Actions: 22, DeadlineEvery: 6})
+	tab := BuildTDTable(sys)
+	rt := MustBuildRelaxTables(tab, []int{1, 3, 7})
+	par, err := BuildRelaxTablesParallel(tab, []int{1, 3, 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := rt.Digest()
+	if got := par.Digest(); got != want {
+		t.Fatalf("parallel build digests %016x, serial %016x", got, want)
+	}
+	for q := range par.upper {
+		for ri := range par.rho {
+			for _, row := range [][]core.Time{par.upper[q][ri], par.lower[q][ri]} {
+				for i := range row {
+					row[i]++
+					if par.Digest() == want {
+						t.Fatalf("digest unchanged after a bound changed at q=%d ri=%d i=%d", q, ri, i)
+					}
+					row[i]--
+				}
+			}
+		}
+	}
+	if par.Digest() != want {
+		t.Fatal("digest not restored with the tables")
+	}
+}
+
+// TestLoadRelaxTablesRejectsMismatch: the digest differs between the
+// relaxation tables of two systems, and between two ρ sets over one
+// system.
+func TestLoadRelaxTablesRejectsMismatch(t *testing.T) {
+	sys := randSys(41, core.RandomSystemConfig{Actions: 22, DeadlineEvery: 6})
+	other := randSys(42, core.RandomSystemConfig{Actions: 22, DeadlineEvery: 6})
+	tab := BuildTDTable(sys)
+	want := MustBuildRelaxTables(tab, []int{1, 2}).Digest()
+	if MustBuildRelaxTables(BuildTDTable(other), []int{1, 2}).Digest() == want {
+		t.Fatal("two systems digest equal")
+	}
+	if MustBuildRelaxTables(tab, []int{1, 3}).Digest() == want {
+		t.Fatal("two rho sets digest equal")
+	}
+	if MustBuildRelaxTables(tab, []int{1, 2, 5}).Digest() == want {
+		t.Fatal("a wider rho set digests equal")
 	}
 }

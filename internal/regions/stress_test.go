@@ -33,7 +33,7 @@ func TestLargeSystemScaling(t *testing.T) {
 		t.Fatal(err)
 	}
 	tab := BuildTDTableParallel(sys)
-	if err := tab.Validate(); err != nil {
+	if err := tab.validate(); err != nil {
 		t.Fatal(err)
 	}
 	rt, err := BuildRelaxTablesParallel(tab, []int{1, 10, 100, 1000})

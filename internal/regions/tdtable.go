@@ -106,10 +106,10 @@ func hq(sys *core.System, j int, q core.Level) core.Time {
 	return sys.WC(j, q) + sys.AvPrefix(j, q) - sys.WCPrefix(j+1, 0)
 }
 
-// BuildTDTableReference computes the same table by calling the on-line
+// buildTDTableReference computes the same table by calling the on-line
 // evaluator for every state: an O(n²·|Q|) executable specification used
 // to validate BuildTDTable.
-func BuildTDTableReference(sys *core.System) *TDTable {
+func buildTDTableReference(sys *core.System) *TDTable {
 	t := newTDTable(sys)
 	n := sys.NumActions()
 	for q := 0; q < t.nq; q++ {
@@ -177,10 +177,10 @@ func (t *TDTable) chooseLinear(i int, tm core.Time) (q core.Level, work int) {
 	return 0, work + 1
 }
 
-// Validate cross-checks structural invariants of the table: monotonicity
+// validate cross-checks structural invariants of the table: monotonicity
 // in both arguments (non-increasing in q, non-decreasing in i) and
 // agreement of adjacent-interval borders. Returns the first violation.
-func (t *TDTable) Validate() error {
+func (t *TDTable) validate() error {
 	n := t.sys.NumActions()
 	for q := 0; q < t.nq; q++ {
 		for i := 0; i <= n; i++ {

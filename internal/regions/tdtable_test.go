@@ -1,9 +1,7 @@
 package regions
 
 import (
-	"bytes"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -27,7 +25,7 @@ func TestBuildTDTableMatchesReference(t *testing.T) {
 		}
 		sys := randSys(seed, cfg)
 		fast := BuildTDTable(sys)
-		ref := BuildTDTableReference(sys)
+		ref := buildTDTableReference(sys)
 		for q := core.Level(0); q <= sys.QMax(); q++ {
 			for i := 0; i <= sys.NumActions(); i++ {
 				if fast.TD(i, q) != ref.TD(i, q) {
@@ -42,7 +40,7 @@ func TestBuildTDTableMatchesReference(t *testing.T) {
 func TestTDTableValidate(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		sys := randSys(seed, core.RandomSystemConfig{DeadlineEvery: 5})
-		if err := BuildTDTable(sys).Validate(); err != nil {
+		if err := BuildTDTable(sys).validate(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
@@ -152,38 +150,65 @@ func TestIntervalBordersShared(t *testing.T) {
 	}
 }
 
+// TestTDTableSerialisationRoundTrip: a bundle carries the digest of its
+// tables instead of the tables, so the digest must be a function of the
+// table alone — equal for the serial and the parallel build — and must
+// notice a change to any single tD entry.
 func TestTDTableSerialisationRoundTrip(t *testing.T) {
 	sys := randSys(4, core.RandomSystemConfig{Actions: 18, DeadlineEvery: 5})
 	tab := BuildTDTable(sys)
-	var buf bytes.Buffer
-	if _, err := tab.WriteTo(&buf); err != nil {
-		t.Fatal(err)
+	want := MustBuildRelaxTables(tab, []int{1, 3}).Digest()
+	par := MustBuildRelaxTables(BuildTDTableParallel(sys), []int{1, 3})
+	if got := par.Digest(); got != want {
+		t.Fatalf("parallel build digests %016x, serial %016x", got, want)
 	}
-	loaded, err := LoadTDTable(&buf, sys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for q := core.Level(0); q <= sys.QMax(); q++ {
-		for i := 0; i <= sys.NumActions(); i++ {
-			if loaded.TD(i, q) != tab.TD(i, q) {
-				t.Fatalf("roundtrip mismatch at i=%d q=%v", i, q)
-			}
+	td := par.TDTable().td
+	for k := range td {
+		td[k]++
+		if par.Digest() == want {
+			t.Fatalf("digest unchanged after tD entry %d (i=%d q=%d) changed", k, k/tab.nq, k%tab.nq)
 		}
+		td[k]--
+	}
+	if par.Digest() != want {
+		t.Fatal("digest not restored with the table")
 	}
 }
 
+// TestLoadTDTableRejectsMismatch: a bundle whose spec compiles to a
+// different table fails the digest check, so different systems must
+// digest differently.
 func TestLoadTDTableRejectsMismatch(t *testing.T) {
 	sys := randSys(5, core.RandomSystemConfig{Actions: 18, DeadlineEvery: 5})
+	same := randSys(7, core.RandomSystemConfig{Actions: 18, DeadlineEvery: 5})
 	other := randSys(6, core.RandomSystemConfig{Actions: 12, DeadlineEvery: 5})
+	digest := func(s *core.System) uint64 { return MustBuildRelaxTables(BuildTDTable(s), []int{1}).Digest() }
+	want := digest(sys)
+	if digest(same) == want {
+		t.Fatal("two systems of the same shape digest equal")
+	}
+	if digest(other) == want {
+		t.Fatal("systems of different shapes digest equal")
+	}
+}
+
+// TestLoadTDTableRejectsNonMonotone: the binary-search Choose is only
+// correct on q/i-monotone tables, so validate must reject a table with
+// two levels of one state swapped.
+func TestLoadTDTableRejectsNonMonotone(t *testing.T) {
+	sys := randSys(43, core.RandomSystemConfig{Actions: 12, DeadlineEvery: 3})
 	tab := BuildTDTable(sys)
-	var buf bytes.Buffer
-	if _, err := tab.WriteTo(&buf); err != nil {
+	if err := tab.validate(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadTDTable(&buf, other); err == nil || !strings.Contains(err.Error(), "system is") {
-		t.Fatalf("dimension mismatch not rejected: %v", err)
+	// Swap two levels of state 0: tD becomes increasing in q there.
+	lo, hi := 0, tab.nq-1
+	if tab.td[lo] == tab.td[hi] {
+		tab.td[hi] = tab.td[lo] + 1
+	} else {
+		tab.td[lo], tab.td[hi] = tab.td[hi], tab.td[lo]
 	}
-	if _, err := LoadTDTable(strings.NewReader("not json"), sys); err == nil {
-		t.Fatal("garbage input accepted")
+	if err := tab.validate(); err == nil {
+		t.Fatal("non-monotone table passed validate")
 	}
 }
