@@ -184,10 +184,10 @@ func drillConfig(t *testing.T) (config, int) {
 
 // serveOnce runs one daemon over cfg's event file as main does: build,
 // resume if asked, serve, then report. It returns how serve ended and,
-// for a run that drained its input, the printed report and the JSON
-// document with its scheduler-shape fields (workers, batch_cycles)
-// removed.
-func serveOnce(t *testing.T, cfg config, resume bool, every int64, killAfter int) (end int, out, doc string) {
+// for a run that drained its input, the sealed result, the printed
+// report and the JSON document with its scheduler-shape fields
+// (workers, batch_cycles) removed.
+func serveOnce(t *testing.T, cfg config, resume bool, every int64, killAfter int) (end int, res *fleet.OpenResult, out, doc string) {
 	t.Helper()
 	d, err := newDaemon(cfg)
 	if err != nil {
@@ -210,9 +210,9 @@ func serveOnce(t *testing.T, cfg config, resume bool, every int64, killAfter int
 	}
 	if end != drained {
 		d.live.Abort()
-		return end, "", ""
+		return end, nil, "", ""
 	}
-	res, err := d.live.Close()
+	res, err = d.live.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,21 @@ func serveOnce(t *testing.T, cfg config, resume bool, every int64, killAfter int
 			kept = append(kept, line)
 		}
 	}
-	return end, buf.String(), strings.Join(kept, "\n")
+	return end, res, buf.String(), strings.Join(kept, "\n")
+}
+
+// checkNoMisses asserts the paper's guarantee on a drained run: the
+// served streams ran deadlines and missed none of them.
+func checkNoMisses(t *testing.T, label string, res *fleet.OpenResult) {
+	t.Helper()
+	misses, deadlines := 0, 0
+	for _, s := range res.FleetResult().Streams {
+		misses += s.Stats.Misses
+		deadlines += s.Stats.DeadlineRecords
+	}
+	if misses != 0 || deadlines == 0 {
+		t.Fatalf("%s: missed %d of %d deadlines, want 0 of at least 1", label, misses, deadlines)
+	}
 }
 
 // TestKillResumeAtEveryBoundary is the crash-safety property of the
@@ -239,25 +253,30 @@ func serveOnce(t *testing.T, cfg config, resume bool, every int64, killAfter int
 // -kill-after does) and resumed at another worker count and batch, it
 // prints the same report and writes the same JSON document as a run
 // that was never interrupted — swap count included, whether the kill
-// fell before, between or after the two swaps.
+// fell before, between or after the two swaps. Both runs also keep the
+// paper's guarantee under the daemon's own models (sim.Content with
+// noise, sim.IPodOverhead): no deadline is missed, including by the
+// streams admitted after each swap.
 func TestKillResumeAtEveryBoundary(t *testing.T) {
 	cfg, lines := drillConfig(t)
-	end, want, wantDoc := serveOnce(t, cfg, false, 3, 0)
+	end, res, want, wantDoc := serveOnce(t, cfg, false, 3, 0)
 	if end != drained {
 		t.Fatalf("uninterrupted run ended with %d", end)
 	}
+	checkNoMisses(t, "uninterrupted run", res)
 	if !strings.Contains(want, fmt.Sprintf("served              %d events → 14 streams (2 swaps)", lines)) {
 		t.Fatalf("uninterrupted report does not count every event and both swaps:\n%s", want)
 	}
 	for k := 1; k <= lines; k++ {
 		victim := cfg
 		victim.state = filepath.Join(t.TempDir(), "state")
-		if end, _, _ := serveOnce(t, victim, false, 3, k); end != killed {
+		if end, _, _, _ := serveOnce(t, victim, false, 3, k); end != killed {
 			t.Fatalf("kill after line %d: serve ended with %d, want killed", k, end)
 		}
 		heir := victim
 		heir.workers, heir.batch = 4, 1
-		_, got, gotDoc := serveOnce(t, heir, true, 3, 0)
+		_, res, got, gotDoc := serveOnce(t, heir, true, 3, 0)
+		checkNoMisses(t, fmt.Sprintf("kill after line %d", k), res)
 		if got != want {
 			t.Errorf("kill after line %d: resumed report\n%s\nwant\n%s", k, got, want)
 		}

@@ -86,7 +86,7 @@ func (p *Pass) IsTestFile(pos token.Pos) bool {
 }
 
 // Package bundles one loaded, type-checked package for the runner —
-// produced by LoadDir (golden tests, source importer) or by the vet
+// produced by loadDir (golden tests, source importer) or by the vet
 // config path (gc export data) in cmd/detlint.
 type Package struct {
 	Path  string

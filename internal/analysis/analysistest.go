@@ -15,7 +15,7 @@ type expectation struct {
 	matched bool
 }
 
-// CheckGolden runs the analyzers over the golden package at dir
+// checkGolden runs the analyzers over the golden package at dir
 // (testdata/src/<name>) and compares the diagnostics against the
 // package's `// want "regex"` line markers, in the style of
 // golang.org/x/tools/go/analysis/analysistest:
@@ -27,8 +27,8 @@ type expectation struct {
 //
 // It returns the list of mismatches (empty = pass), so the test
 // wrapper stays a two-liner and the harness itself needs no *testing.T.
-func CheckGolden(dir string, analyzers ...*Analyzer) ([]string, error) {
-	pkg, err := LoadDir(dir)
+func checkGolden(dir string, analyzers ...*Analyzer) ([]string, error) {
+	pkg, err := loadDir(dir)
 	if err != nil {
 		return nil, err
 	}

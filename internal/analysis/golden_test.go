@@ -6,7 +6,7 @@ import "testing"
 // mismatch between diagnostics and `// want` markers.
 func testGolden(t *testing.T, dir string, analyzers ...*Analyzer) {
 	t.Helper()
-	problems, err := CheckGolden(dir, analyzers...)
+	problems, err := checkGolden(dir, analyzers...)
 	if err != nil {
 		t.Fatal(err)
 	}

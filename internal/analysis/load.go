@@ -11,7 +11,7 @@ import (
 	"slices"
 )
 
-// goldenFset and goldenImporter are shared by every LoadDir call so the
+// goldenFset and goldenImporter are shared by every loadDir call so the
 // golden tests type-check each stdlib dependency once per process, not
 // once per analyzer.
 var (
@@ -19,12 +19,12 @@ var (
 	goldenImporter types.Importer
 )
 
-// LoadDir parses and type-checks the single package rooted at dir — the
+// loadDir parses and type-checks the single package rooted at dir — the
 // golden-test entry point for analysistest packages under testdata,
 // which go list refuses to enumerate. Imports resolve from source, so
 // testdata packages may use the stdlib and the module's own packages.
 // Not safe for concurrent use (the golden tests run sequentially).
-func LoadDir(dir string) (*Package, error) {
+func loadDir(dir string) (*Package, error) {
 	matches, err := filepath.Glob(filepath.Join(dir, "*.go"))
 	if err != nil || len(matches) == 0 {
 		return nil, fmt.Errorf("analysis: no Go files under %s", dir)
@@ -38,7 +38,7 @@ func LoadDir(dir string) (*Package, error) {
 }
 
 // CheckFiles parses the given files as one package and type-checks them
-// with the importer. LoadDir (golden tests, source importer) and
+// with the importer. loadDir (golden tests, source importer) and
 // cmd/detlint (vet tool, export-data importer) both load through it.
 func CheckFiles(path string, fset *token.FileSet, filenames []string, imp types.Importer) (*Package, error) {
 	var files []*ast.File

@@ -149,7 +149,7 @@ func TestEncodeRejectsRetainedRecords(t *testing.T) {
 	}
 }
 
-// TestDecodeRejectsCorruption: every fault the FaultPlan can inject —
+// TestDecodeRejectsCorruption: every fault the faultPlan can inject —
 // torn/truncated writes at any prefix, a single flipped bit anywhere —
 // must surface as an error from Decode, never a panic and never a
 // silently wrong snapshot.
@@ -162,7 +162,7 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}
 	whole := buf.Bytes()
 
-	plan := NewFaultPlan(5)
+	plan := newFaultPlan(5)
 	for i := 0; i < 64; i++ {
 		torn := plan.Truncate(whole)
 		if _, err := Decode(bytes.NewReader(torn)); err == nil {
@@ -186,7 +186,7 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 func TestFaultPlanDeterministic(t *testing.T) {
 	payload := make([]byte, 256)
 	draw := func(seed uint64) []string {
-		p := NewFaultPlan(seed)
+		p := newFaultPlan(seed)
 		var out []string
 		for i := 0; i < 8; i++ {
 			out = append(out,
@@ -308,7 +308,7 @@ func TestStoreFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(newest, NewFaultPlan(3).BitFlip(raw), 0o644); err != nil {
+	if err := os.WriteFile(newest, newFaultPlan(3).BitFlip(raw), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -365,7 +365,7 @@ func TestStoreMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(newest, NewFaultPlan(3).BitFlip(raw), 0o644); err != nil {
+	if err := os.WriteFile(newest, newFaultPlan(3).BitFlip(raw), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if s, _, err := st.LoadLatest("f"); err != nil || s == nil || s.Capture.Events != 15 {
@@ -410,7 +410,7 @@ func TestKillResumeEndToEnd(t *testing.T) {
 
 	for seed := uint64(1); seed <= 4; seed++ {
 		st := &Store{Dir: t.TempDir()}
-		kill := NewFaultPlan(seed).KillEvents(40)
+		kill := newFaultPlan(seed).KillEvents(40)
 		run := cfg
 		run.Workers = int(seed % 3)
 		_, err := fleet.OpenRunStatsCheckpointed(run, nil, 2, func(c *fleet.OpenCapture) error {
@@ -418,11 +418,11 @@ func TestKillResumeEndToEnd(t *testing.T) {
 				return err
 			}
 			if c.Events >= kill {
-				return ErrInjectedKill
+				return errInjectedKill
 			}
 			return nil
 		})
-		if !errors.Is(err, ErrInjectedKill) {
+		if !errors.Is(err, errInjectedKill) {
 			t.Fatalf("seed %d: run survived its injected kill: %v", seed, err)
 		}
 

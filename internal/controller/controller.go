@@ -80,7 +80,7 @@ type Bundle struct {
 
 // Compile validates the spec (Definition 1 monotonicity, Cav ≤ Cwc,
 // qmin-feasibility — the conditions under which the mixed policy is
-// safe) and pre-computes the tables with the parallel builders.
+// safe) and pre-computes the tables.
 func Compile(spec Spec) (*Bundle, error) {
 	sys, err := buildSystem(spec)
 	if err != nil {
@@ -90,8 +90,8 @@ func Compile(spec Spec) (*Bundle, error) {
 	if len(rho) == 0 {
 		rho = []int{1}
 	}
-	tab := regions.BuildTDTableParallel(sys)
-	relax, err := regions.BuildRelaxTablesParallel(tab, rho)
+	tab := regions.BuildTDTable(sys)
+	relax, err := regions.BuildRelaxTables(tab, rho)
 	if err != nil {
 		return nil, fmt.Errorf("controller: %w", err)
 	}

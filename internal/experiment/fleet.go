@@ -143,8 +143,7 @@ func WorkloadFleet(seed uint64, n, cycles int) ([]fleet.Stream, error) {
 		if !ok {
 			return nil, fmt.Errorf("experiment: catalog missing workload %q", name)
 		}
-		tab := regions.BuildTDTableParallel(sys)
-		rt, err := regions.BuildRelaxTablesParallel(tab, []int{1, 5, 10, 25})
+		rt, err := regions.BuildRelaxTables(regions.BuildTDTable(sys), []int{1, 5, 10, 25})
 		if err != nil {
 			return nil, err
 		}

@@ -239,7 +239,6 @@ func (f *openFrontier) restore(c *OpenCapture) error {
 
 	if len(f.backlog) < len(c.Backlog) {
 		f.backlog = make([]int32, len(c.Backlog)+openChunkMin)
-		f.sc.backlog = f.backlog
 	}
 	copy(f.backlog, c.Backlog)
 	f.blHead, f.blLen = 0, len(c.Backlog)
@@ -314,23 +313,24 @@ type CheckpointFunc func(c *OpenCapture) error
 // any (workers, batch) — the crash-safety property the checkpoint
 // package builds on.
 func OpenRunStatsCheckpointed(cfg OpenConfig, resume *OpenCapture, every int64, fn CheckpointFunc) (*OpenResult, error) {
-	f, err := frontierForRun(&cfg, true)
+	ol, err := loadOpen(&cfg, true)
 	if err != nil {
 		return nil, err
 	}
-	defer f.exec.shutdown()
+	f := ol.f
 	if resume != nil {
 		if err := f.restore(resume); err != nil {
+			ol.Abort()
 			return nil, err
 		}
 	}
 	for f.step(core.TimeInf) {
 		if every > 0 && fn != nil && f.events%every == 0 {
 			if err := fn(f.checkpoint()); err != nil {
+				ol.Abort()
 				return nil, err
 			}
 		}
 	}
-	f.finishRun()
-	return f.res, nil
+	return ol.Close()
 }

@@ -20,7 +20,8 @@
 // a serial sim.Runner, so a stream's trace is byte-identical to the
 // serial run at the same seed regardless of worker count or batch size,
 // and an open run is byte-identical to the serial, single-goroutine
-// spec OpenRunSerial.
+// spec (OpenRunStatsSerial). One driver, OpenLive, runs the engine:
+// batch runs load their population into it, serving runs feed it.
 package fleet
 
 import (
@@ -130,7 +131,7 @@ func RunStats(cfg Config) (*Result, error) {
 // arrives at t = 0 under AdmitAll, so nothing is delayed or shed and
 // each stream's result is exactly its serial run.
 func run(cfg Config, stats bool) (*Result, error) {
-	res, err := openRunContinuous(OpenConfig{
+	res, err := openRun(&OpenConfig{
 		Streams:     cfg.Streams,
 		Arrivals:    make([]core.Time, len(cfg.Streams)),
 		Workers:     cfg.Workers,
@@ -186,8 +187,6 @@ type Options struct {
 	Manager string
 	// Cycles per stream (required).
 	Cycles int
-	// Period is the cycle arrival period (0 = last deadline).
-	Period core.Time
 	// Overhead is the platform's management-cost model.
 	Overhead sim.OverheadModel
 	// BaseSeed seeds FromBundle's fleet; stream k draws content with
@@ -195,9 +194,6 @@ type Options struct {
 	BaseSeed uint64
 	// NoiseAmp is the content model's jitter amplitude.
 	NoiseAmp float64
-	// FrameFactor and ActionFactor shape the content model (nil = flat).
-	FrameFactor  func(c int) float64
-	ActionFactor func(i int) float64
 }
 
 // FromBundle builds n streams that all instantiate their manager from
@@ -244,15 +240,12 @@ func BundleStream(b *controller.Bundle, name string, seed uint64, opt Options) (
 			Sys: sys,
 			Mgr: mgr,
 			Exec: sim.Content{
-				Sys:          sys,
-				FrameFactor:  opt.FrameFactor,
-				ActionFactor: opt.ActionFactor,
-				NoiseAmp:     opt.NoiseAmp,
-				Seed:         seed,
+				Sys:      sys,
+				NoiseAmp: opt.NoiseAmp,
+				Seed:     seed,
 			},
 			Overhead: opt.Overhead,
 			Cycles:   opt.Cycles,
-			Period:   opt.Period,
 		},
 	}, nil
 }

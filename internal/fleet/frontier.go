@@ -1,9 +1,7 @@
 package fleet
 
 import (
-	"cmp"
 	"math"
-	"slices"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
@@ -14,16 +12,17 @@ import (
 
 // This file is the engine: a deterministic virtual-time frontier that
 // admits arrivals continuously while persistent workers drain the slot
-// arena, with no global barrier anywhere. Open runs, closed fleets (all
-// arrivals at t = 0), incremental runs and checkpointed runs all drive
-// this one frontier.
+// arena, with no global barrier anywhere. OpenLive (live.go) is its one
+// driver: open runs, closed fleets (all arrivals at t = 0) and
+// checkpointed runs load their population into an OpenLive, and
+// incremental runs feed one.
 //
 // The engine rests on one load-bearing fact: a stream's trace — its
 // service time Trace.Final included — is a pure function of its Runner.
 // Arrival and admission instants never enter sim.Stream.Step, so
 // execution does not have to be sequenced with admission at all; the
 // frontier only needs each admitted stream's Final before it can retire
-// the stream's departure. The serial spec (OpenRunSerial) obtains the
+// the stream's departure. The serial spec (openRunSerial) obtains the
 // Final by running each admitted stream to completion on the spot. The
 // frontier instead tracks, for every in-flight stream, a provable lower
 // bound on its departure:
@@ -43,10 +42,11 @@ import (
 // decisions at any (workers, batch), property-tested against the spec.
 
 // OpenScratch amortizes the continuous open engine's working memory
-// across runs: the slot arena's chunks, the frontier's heaps and
-// queues, and the per-stream result slabs are all retained and reused,
-// so a steady-state run with a warm scratch performs zero heap
-// allocations end to end (proved by TestOpenSteadyStateAllocationFree).
+// across runs: the slot arena's chunks, the frontier with its
+// population slabs, heaps and backlog ring, and the per-stream result
+// slabs are all retained and reused, so a steady-state run with a warm
+// scratch performs zero heap allocations end to end (proved by
+// TestOpenSteadyStateAllocationFree).
 //
 // A scratch may be used by one run at a time, and the OpenResult of a
 // run that used a scratch aliases it: the result is valid only until
@@ -61,13 +61,6 @@ type OpenScratch struct {
 
 	lifecycles []metrics.Lifecycle
 	streams    []StreamResult
-	order      []int32
-	util       []float64
-	minFin     []core.Time
-	final      []bool
-	dep        []depEvent
-	pend       []depEvent
-	backlog    []int32
 	rings      []completionRing
 	over       []int32
 	overBuf    []int32
@@ -76,16 +69,10 @@ type OpenScratch struct {
 	stats  []sim.StatsSink
 	hist   []int
 
-	// liveStreams and liveArr are the incremental driver's (OpenLive)
-	// population slabs: the batch entry points take the population from
-	// the caller, the live form accretes it feed by feed and parks the
-	// grown backing arrays here between runs.
-	liveStreams []Stream
-	liveArr     []core.Time
-	// live is the scratch-resident OpenLive header NewOpenLive hands
-	// back, so a warm incremental run (a cluster instance per routed
-	// window, say) allocates nothing at all — not even the driver
-	// struct. Like res, it is valid only until the scratch's next run.
+	// live is the scratch-resident OpenLive header every run drives, so
+	// a warm run (a cluster instance per routed window, say) allocates
+	// nothing at all — not even the driver struct. Like res, it is valid
+	// only until the scratch's next run.
 	live OpenLive
 }
 
@@ -167,6 +154,11 @@ type openExec interface {
 // arrival instants and the per-stream service times, so it is shared
 // verbatim by the single-threaded and concurrent executors; only
 // wall-clock time depends on who runs the streams.
+//
+// The frontier lives in the scratch and owns its slabs — the population
+// (streams through final), both heaps and the backlog ring: appendStream
+// and blPush grow them, and newOpenLive empties them for the next run
+// without dropping their backing arrays.
 type openFrontier struct {
 	streams   []Stream
 	sc        *OpenScratch
@@ -210,51 +202,6 @@ type openFrontier struct {
 	tr  *obs.Trace
 }
 
-// openRunContinuous is the engine behind OpenRun/OpenRunStats and the
-// closed Run/RunStats.
-func openRunContinuous(cfg OpenConfig, stats bool) (*OpenResult, error) {
-	f, err := frontierForRun(&cfg, stats)
-	if err != nil {
-		return nil, err
-	}
-	defer f.exec.shutdown()
-	f.run()
-	return f.res, nil
-}
-
-// frontierForRun validates the configuration, lays out the frontier and
-// attaches the executor the scheduler shape selects — the shared setup
-// of the plain and checkpointed run drivers.
-func frontierForRun(cfg *OpenConfig, stats bool) (*openFrontier, error) {
-	if err := validateOpen(cfg, stats); err != nil {
-		return nil, err
-	}
-	sc := cfg.Scratch
-	if sc == nil {
-		sc = new(OpenScratch)
-	}
-	f := newFrontier(cfg, sc, stats)
-	f.attachExec(f.n, cfg.Workers, cfg.BatchCycles)
-	return f, nil
-}
-
-// initFrontier resets the scratch-resident frontier for a new run: the
-// admitter and lookahead defaults, the observability hooks and the
-// scratch-owned heaps. The batch layout (newFrontier) and the
-// incremental driver (NewOpenLive) both start here.
-func initFrontier(sc *OpenScratch, stats bool, adm Admitter, look int, met *obs.FleetMetrics, tr *obs.Trace) *openFrontier {
-	if adm == nil {
-		adm = AdmitAll{}
-	}
-	if look <= 0 {
-		look = DefaultLookahead
-	}
-	f := &sc.frontier
-	*f = openFrontier{sc: sc, stats: stats, adm: adm, look: look, met: met, tr: tr,
-		dep: sc.dep[:0], pend: sc.pend[:0], backlog: sc.backlog}
-	return f
-}
-
 // attachExec selects the executor for a population of n streams: the
 // inline one when the pool would have a single worker, the concurrent
 // pool otherwise.
@@ -272,8 +219,7 @@ func (f *openFrontier) attachExec(n, workers, batch int) {
 }
 
 // streamWeight computes one stream's admission weight and departure
-// lower bound — shared by newFrontier's layout pass and the live
-// driver's incremental feed so the two can never disagree.
+// lower bound, once per stream, as appendStream lays the stream out.
 //
 // Streams that will fail at bind weigh nothing (they depart the instant
 // they are admitted) and carry no bound: their service time is exactly
@@ -318,82 +264,6 @@ func validateOpen(cfg *OpenConfig, stats bool) error {
 		return errExportNeedsStats
 	}
 	return nil
-}
-
-// newFrontier lays out the run: per-stream admission weights and
-// departure bounds, the (instant, index)-ordered arrival schedule, the
-// result slabs and the slot arena — every slab drawn from the scratch,
-// so a warm frontier allocates nothing.
-func newFrontier(cfg *OpenConfig, sc *OpenScratch, stats bool) *openFrontier {
-	n := len(cfg.Streams)
-	f := initFrontier(sc, stats, cfg.Admit, cfg.Lookahead, cfg.Obs, cfg.Trace)
-	f.streams, f.n, f.arr = cfg.Streams, n, cfg.Arrivals
-
-	if stats {
-		for k := range cfg.Streams {
-			if sys := cfg.Streams[k].Runner.Sys; sys != nil && sys.NumLevels() > f.maxLevels {
-				f.maxLevels = sys.NumLevels()
-			}
-		}
-	}
-	sc.arena.reset(n, stats, cfg.Export, f.maxLevels)
-	f.arena = &sc.arena
-
-	sc.util = growSlice(sc.util, n)
-	sc.minFin = growSlice(sc.minFin, n)
-	sc.final = growSlice(sc.final, n)
-	f.util, f.minFin, f.final = sc.util, sc.minFin, sc.final
-	for k := range cfg.Streams {
-		f.util[k], f.minFin[k] = streamWeight(&cfg.Streams[k].Runner, stats)
-		f.final[k] = false
-	}
-
-	// The arrival schedule: one flat, (instant, index)-ordered slab
-	// computed up front — every arrival process already materializes via
-	// a single Times call, and the frontier consumes the slab without
-	// ever calling back per event. Process outputs are non-decreasing,
-	// so the identity fast path is the common case; an unsorted
-	// hand-built slab goes through the same stable sort as the spec.
-	sc.order = growSlice(sc.order, n)
-	f.order = sc.order
-	sorted := true
-	for k := range f.order {
-		f.order[k] = int32(k)
-		if k > 0 && cfg.Arrivals[k] < cfg.Arrivals[k-1] {
-			sorted = false
-		}
-	}
-	if !sorted {
-		slices.SortStableFunc(f.order, func(a, b int32) int {
-			return cmp.Compare(cfg.Arrivals[a], cfg.Arrivals[b])
-		})
-	}
-
-	sc.lifecycles = growSlice(sc.lifecycles, n)
-	sc.streams = growSlice(sc.streams, n)
-	sc.traces = growSlice(sc.traces, n)
-	if stats {
-		sc.stats = growSlice(sc.stats, n)
-		sc.hist = growSlice(sc.hist, n*f.maxLevels)
-	}
-	sc.res = OpenResult{Streams: sc.streams}
-	sc.res.Lifecycles = sc.lifecycles
-	f.res = &sc.res
-	for k := range cfg.Streams {
-		sc.streams[k] = StreamResult{Name: cfg.Streams[k].Name}
-		sc.lifecycles[k] = metrics.Lifecycle{Name: cfg.Streams[k].Name, Arrival: cfg.Arrivals[k]}
-	}
-
-	f.lastT = cfg.Arrivals[f.order[0]]
-	f.res.FirstArrival = f.lastT
-	return f
-}
-
-// run drives the event loop to completion and seals the result.
-func (f *openFrontier) run() {
-	for f.step(core.TimeInf) {
-	}
-	f.finishRun()
 }
 
 // step processes the next event group — all simultaneous departures, or
@@ -560,7 +430,6 @@ func (f *openFrontier) finishRun() {
 	}
 	f.res.End = f.lastT
 	f.res.Final = f.lastDep
-	f.persistScratch()
 }
 
 // pending reports whether any admitted stream's departure is still
@@ -686,17 +555,9 @@ func (f *openFrontier) blPush(k int32) {
 			grown[i] = f.backlog[(f.blHead+i)%len(f.backlog)]
 		}
 		f.backlog, f.blHead = grown, 0
-		f.sc.backlog = grown
 	}
 	f.backlog[(f.blHead+f.blLen)%len(f.backlog)] = k
 	f.blLen++
-}
-
-// persistScratch hands the run's grown heap slabs back to the scratch
-// so their capacity carries into the next run.
-func (f *openFrontier) persistScratch() {
-	f.sc.dep = f.dep[:0]
-	f.sc.pend = f.pend[:0]
 }
 
 // inlineExec is the workers = 1 executor: no goroutines, no locks, no
@@ -753,12 +614,3 @@ func (e *inlineExec) quiesce() {}
 func (e *inlineExec) release() {}
 
 func (e *inlineExec) shutdown() {}
-
-// growSlice returns s resized to n, reusing its backing array when the
-// capacity allows — the scratch slabs' growth rule.
-func growSlice[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
-}

@@ -100,3 +100,70 @@ func TestOpenWorstCaseNoMisses(t *testing.T) {
 		}
 	}
 }
+
+// TestLiveRestoreWorstCaseNoMisses is the paper's guarantee across live
+// restores. Worst-case streams over reloaded bundles are fed into an
+// OpenLive under cap-K admission that delays and sheds some of them.
+// After every feed the run is checkpointed, aborted, and restored into
+// a fresh OpenLive at the other worker count, which then carries on.
+// The finished run misses no deadline, and its result is identical to
+// that of an OpenLive fed the same streams without interruption.
+// One-cycle batches over streams of two to four cycles let a capture
+// hold streams stopped mid-run; how many it holds depends on worker
+// timing, but every capture holds the same backlog.
+func TestLiveRestoreWorstCaseNoMisses(t *testing.T) {
+	const n = 30
+	bundles := reloadedBundles(t)
+	times := burstyTimes(t, n, 5)
+	adm := CapK{K: 2, Queue: 3}
+	workers := []int{1, 4}
+	for _, manager := range []string{"symbolic", "relaxed"} {
+		streams := worstCaseStreams(t, bundles, manager, n, 3)
+		for k := range streams {
+			streams[k].Runner.Cycles = 2 + k%3
+		}
+		cfg := OpenLiveConfig{Admit: adm, Workers: workers[0], BatchCycles: 1, MaxLevels: maxLevelsOf(streams)}
+		whole := NewOpenLive(cfg)
+		for k := range streams {
+			if err := whole.Feed(streams[k], times[k]); err != nil {
+				t.Fatalf("%s: feed %d: %v", manager, k, err)
+			}
+		}
+		want, err := whole.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", manager, err)
+		}
+
+		live := NewOpenLive(cfg)
+		queued := 0
+		for k := range streams {
+			if err := live.Feed(streams[k], times[k]); err != nil {
+				t.Fatalf("%s: feed %d: %v", manager, k, err)
+			}
+			c, err := live.Checkpoint()
+			if err != nil {
+				t.Fatalf("%s: checkpoint after feed %d: %v", manager, k, err)
+			}
+			queued += len(c.Backlog)
+			live.Abort()
+			cfg.Workers = workers[(k+1)%len(workers)]
+			live = NewOpenLive(cfg)
+			if err := live.Restore(c, streams[:k+1], times[:k+1]); err != nil {
+				t.Fatalf("%s: restore after feed %d: %v", manager, k, err)
+			}
+		}
+		got, err := live.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", manager, err)
+		}
+		label := manager + "/restored after every feed"
+		if got.Delayed == 0 || got.Shed == 0 {
+			t.Fatalf("%s: admission delayed %d and shed %d streams; the shape needs both", label, got.Delayed, got.Shed)
+		}
+		if queued == 0 {
+			t.Fatalf("%s: no capture held a queued stream", label)
+		}
+		checkNoMisses(t, label, got.FleetResult())
+		compareOpen(t, label, want, got)
+	}
+}

@@ -1,9 +1,11 @@
 package fleet
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
@@ -45,17 +47,19 @@ type OpenLiveConfig struct {
 	Scratch *OpenScratch
 }
 
-// OpenLive is the incremental form of OpenRunStats: the same
-// deterministic frontier and executor, driven by a caller that learns
-// arrivals one at a time (a serving daemon reading an event stream)
-// instead of holding the whole schedule up front. Feed appends one
-// arrival and advances the event loop through every instant the fed
-// prefix fully determines; Close drains the system and seals the
-// result. For one and the same (streams, arrivals, admitter) sequence,
-// the sealed result is byte-identical to OpenRunStats over the batch
-// configuration — the fed order simply is the spec's (instant, index)
-// order, and the watermark withholds exactly the events a future feed
-// could still precede.
+// OpenLive is the engine's one driver: every run of the deterministic
+// frontier and its executor goes through an OpenLive. A caller that
+// learns arrivals one at a time (a serving daemon reading an event
+// stream) feeds it: Feed appends one arrival and advances the event
+// loop through every instant the fed prefix fully determines; Close
+// drains the system and seals the result. The batch entry points
+// (OpenRun, OpenRunStats, OpenRunStatsCheckpointed, Run and RunStats)
+// load their whole population into one and run it to Close. For one and
+// the same (streams, arrivals, admitter) sequence, a fed run seals a
+// result byte-identical to OpenRunStats over the batch configuration —
+// the fed order simply is the spec's (instant, index) order, and the
+// watermark withholds exactly the events a future feed could still
+// precede.
 //
 // An OpenLive belongs to one goroutine; the concurrency inside (the
 // executor pool) is the engine's own.
@@ -69,29 +73,82 @@ type OpenLive struct {
 // NewOpenLive starts an empty incremental run with a running (idle)
 // executor pool.
 func NewOpenLive(cfg OpenLiveConfig) *OpenLive {
+	return newOpenLive(cfg, true, nil, 0)
+}
+
+// newOpenLive starts an empty run on the scratch-resident frontier — the
+// one place a frontier is built. loadOpen passes what OpenLiveConfig
+// does not carry: stats false selects the retaining path, export is
+// OpenConfig.Export, and n is the population about to be loaded, which
+// sizes the arena's indirection arrays once and caps the pool. A live
+// run passes n = 0: its arrays grow as it is fed, and its pool is
+// uncapped.
+func newOpenLive(cfg OpenLiveConfig, stats bool, export func(int, string) sim.Sink, n int) *OpenLive {
 	sc := cfg.Scratch
 	if sc == nil {
 		sc = NewOpenScratch()
 	}
-	f := initFrontier(sc, true, cfg.Admit, cfg.Lookahead, cfg.Obs, cfg.Trace)
-	f.maxLevels = cfg.MaxLevels
-	sc.arena.reset(0, true, nil, cfg.MaxLevels)
-	f.arena = &sc.arena
-	// The population and result slabs restart empty but keep their
-	// backing arrays: a warm scratch makes every appendStream below a
-	// capacity-reusing append.
-	sc.order, sc.util, sc.minFin, sc.final = sc.order[:0], sc.util[:0], sc.minFin[:0], sc.final[:0]
+	adm, look := cfg.Admit, cfg.Lookahead
+	if adm == nil {
+		adm = AdmitAll{}
+	}
+	if look <= 0 {
+		look = DefaultLookahead
+	}
+	// The frontier's slabs restart empty but keep their backing arrays:
+	// on a warm scratch every appendStream is a capacity-reusing append.
+	f := &sc.frontier
+	*f = openFrontier{sc: sc, stats: stats, maxLevels: cfg.MaxLevels, adm: adm, look: look,
+		arena: &sc.arena, res: &sc.res, met: cfg.Obs, tr: cfg.Trace,
+		streams: f.streams[:0], arr: f.arr[:0], order: f.order[:0], util: f.util[:0],
+		minFin: f.minFin[:0], final: f.final[:0], dep: f.dep[:0], pend: f.pend[:0], backlog: f.backlog}
+	sc.arena.reset(n, stats, export, cfg.MaxLevels)
 	sc.lifecycles, sc.streams = sc.lifecycles[:0], sc.streams[:0]
 	sc.traces, sc.stats, sc.hist = sc.traces[:0], sc.stats[:0], sc.hist[:0]
-	f.streams, f.arr = sc.liveStreams[:0], sc.liveArr[:0]
 	sc.res = OpenResult{}
-	f.res = &sc.res
-	f.attachExec(math.MaxInt, cfg.Workers, cfg.BatchCycles)
+	pool := math.MaxInt
+	if n > 0 {
+		pool = n
+	}
+	f.attachExec(pool, cfg.Workers, cfg.BatchCycles)
 	// The returned header lives in the scratch: a warm NewOpenLive
 	// performs no allocation whatsoever.
 	ol := &sc.live
 	*ol = OpenLive{sc: sc, f: f}
 	return ol
+}
+
+// loadOpen validates a batch configuration and loads its population
+// into an OpenLive that is ready to run to Close: one appendStream per
+// stream in input order, then the spec's stable (instant, index) sort
+// when the arrival slab is unsorted. Arrival processes emit
+// non-decreasing instants, so the sort is the exception.
+func loadOpen(cfg *OpenConfig, stats bool) (*OpenLive, error) {
+	if err := validateOpen(cfg, stats); err != nil {
+		return nil, err
+	}
+	maxLevels := 0
+	if stats {
+		for k := range cfg.Streams {
+			if sys := cfg.Streams[k].Runner.Sys; sys != nil {
+				maxLevels = max(maxLevels, sys.NumLevels())
+			}
+		}
+	}
+	ol := newOpenLive(OpenLiveConfig{Admit: cfg.Admit, Workers: cfg.Workers, BatchCycles: cfg.BatchCycles,
+		Lookahead: cfg.Lookahead, MaxLevels: maxLevels, Obs: cfg.Obs, Trace: cfg.Trace, Scratch: cfg.Scratch},
+		stats, cfg.Export, len(cfg.Streams))
+	for k := range cfg.Streams {
+		ol.appendStream(cfg.Streams[k], cfg.Arrivals[k])
+	}
+	if f := ol.f; !slices.IsSorted(f.arr) {
+		slices.SortStableFunc(f.order, func(a, b int32) int {
+			return cmp.Compare(f.arr[a], f.arr[b])
+		})
+		f.lastT = f.arr[f.order[0]]
+		f.res.FirstArrival = f.lastT
+	}
+	return ol, nil
 }
 
 // Feed appends one stream with its arrival instant and advances the
@@ -124,23 +181,22 @@ func (ol *OpenLive) Feed(s Stream, t core.Time) error {
 	return nil
 }
 
-// appendStream grows every per-stream slab by one entry and rebinds the
-// frontier's slice headers — the incremental counterpart of
-// newFrontier's layout pass. Slab reallocation here is safe without a
-// quiesce: these arrays are the frontier's alone (workers touch only
-// the arena), and result entries already harvested keep pointing into
-// the old backing, which is never mutated again.
+// appendStream grows every per-stream slab by one entry — the one
+// layout path of the frontier, for fed and loaded populations alike.
+// Slab reallocation here is safe without a quiesce: these arrays are the
+// frontier's alone (workers touch only the arena), and result entries
+// already harvested keep pointing into the old backing, which is never
+// mutated again.
 func (ol *OpenLive) appendStream(s Stream, t core.Time) {
 	f, sc := ol.f, ol.sc
 	k := f.n
 	f.streams = append(f.streams, s)
 	f.arr = append(f.arr, t)
-	sc.liveStreams, sc.liveArr = f.streams, f.arr
-	u, mf := streamWeight(&f.streams[k].Runner, true)
-	sc.order = append(sc.order, int32(k))
-	sc.util = append(sc.util, u)
-	sc.minFin = append(sc.minFin, mf)
-	sc.final = append(sc.final, false)
+	u, mf := streamWeight(&f.streams[k].Runner, f.stats)
+	f.order = append(f.order, int32(k))
+	f.util = append(f.util, u)
+	f.minFin = append(f.minFin, mf)
+	f.final = append(f.final, false)
 	sc.lifecycles = append(sc.lifecycles, metrics.Lifecycle{Name: s.Name, Arrival: t})
 	sc.streams = append(sc.streams, StreamResult{Name: s.Name})
 	sc.traces = append(sc.traces, sim.Trace{})
@@ -152,7 +208,6 @@ func (ol *OpenLive) appendStream(s Stream, t core.Time) {
 		sc.hist = append(sc.hist, 0)
 	}
 	f.n = k + 1
-	f.order, f.util, f.minFin, f.final = sc.order, sc.util, sc.minFin, sc.final
 	sc.res.Streams = sc.streams
 	sc.res.Lifecycles = sc.lifecycles
 	if k == 0 {

@@ -120,7 +120,7 @@ const DefaultLookahead = 16
 // retained per executed stream. See OpenRunStats for the zero-retention
 // form.
 func OpenRun(cfg OpenConfig) (*OpenResult, error) {
-	return openRunContinuous(cfg, false)
+	return openRun(&cfg, false)
 }
 
 // OpenRunStats executes the open system on the engine with one
@@ -133,24 +133,26 @@ func OpenRun(cfg OpenConfig) (*OpenResult, error) {
 // persistent injection-aware workers (openSched) execute admitted
 // streams in the background — no pool start/join per event, no barrier
 // on stragglers. Traces, lifecycles and admission decisions are
-// byte-identical to OpenRunSerial at any (workers, batch),
+// byte-identical to OpenRunStatsSerial at any (workers, batch),
 // property-tested under -race.
 func OpenRunStats(cfg OpenConfig) (*OpenResult, error) {
-	return openRunContinuous(cfg, true)
+	return openRun(&cfg, true)
 }
 
-// OpenRunSerial is the executable specification the engine is
-// property-tested against: a plain virtual-time event loop on the
-// calling goroutine that runs each admitted stream to completion the
-// moment it is admitted. It starts no goroutine and shares no slot
-// arena or executor with the engine. Results are byte-identical to
-// OpenRun; only wall-clock behaviour differs.
-func OpenRunSerial(cfg OpenConfig) (*OpenResult, error) {
-	return openRunSerial(cfg, false)
+// openRun loads the population into an OpenLive and runs it to Close:
+// the driver of OpenRun, OpenRunStats and the closed Run/RunStats.
+func openRun(cfg *OpenConfig, stats bool) (*OpenResult, error) {
+	ol, err := loadOpen(cfg, stats)
+	if err != nil {
+		return nil, err
+	}
+	return ol.Close()
 }
 
-// OpenRunStatsSerial is OpenRunSerial through the zero-retention stats
-// path — the executable spec for OpenRunStats.
+// OpenRunStatsSerial is the executable specification the engine is
+// property-tested against (openRunSerial) through the zero-retention
+// stats path: results are byte-identical to OpenRunStats; only
+// wall-clock behaviour differs.
 func OpenRunStatsSerial(cfg OpenConfig) (*OpenResult, error) {
 	return openRunSerial(cfg, true)
 }
@@ -188,11 +190,14 @@ func (h depHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *depHeap) Push(x any)   { *h = append(*h, x.(departure)) }
 func (h *depHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
 
-// openRunSerial is the spec's virtual-time event loop. It is serial and
-// deterministic by construction — every admission decision is a pure
-// function of simulated instants — and it runs each admitted stream to
-// completion on the spot (runSerial), which fixes the stream's
-// departure instant before the loop moves on.
+// openRunSerial is the executable specification the engine is
+// property-tested against: a plain virtual-time event loop on the
+// calling goroutine that starts no goroutine and shares no slot arena
+// or executor with the engine. It is serial and deterministic by
+// construction — every admission decision is a pure function of
+// simulated instants — and it runs each admitted stream to completion
+// on the spot (runSerial), which fixes the stream's departure instant
+// before the loop moves on. stats false is the spec for OpenRun.
 //
 // Event ordering: at one instant, departures are retired first (ties by
 // stream index), the freed capacity is offered to the FIFO backlog, and

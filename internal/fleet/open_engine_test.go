@@ -104,7 +104,7 @@ func TestOpenRetainedContinuousMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	adm := CapK{K: 3, Queue: -1}
-	ref, err := OpenRunSerial(OpenConfig{Streams: streams, Arrivals: times, Admit: adm, Workers: 2})
+	ref, err := openRunSerial(OpenConfig{Streams: streams, Arrivals: times, Admit: adm, Workers: 2}, false)
 	if err != nil {
 		t.Fatal(err)
 	}

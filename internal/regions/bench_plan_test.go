@@ -17,8 +17,8 @@ func benchTables(b *testing.B) *RelaxTables {
 		Levels:        7,
 		DeadlineEvery: 12,
 	})
-	td := BuildTDTableParallel(sys)
-	rt, err := BuildRelaxTablesParallel(td, []int{1, 10, 20, 30, 40, 50})
+	td := BuildTDTable(sys)
+	rt, err := BuildRelaxTables(td, []int{1, 10, 20, 30, 40, 50})
 	if err != nil {
 		b.Fatal(err)
 	}

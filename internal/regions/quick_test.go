@@ -81,17 +81,16 @@ func TestQuickRelaxationSound(t *testing.T) {
 	}
 }
 
-// TestQuickBuildersAgree: serial, parallel and reference table builders
-// coincide on fuzzed systems.
+// TestQuickBuildersAgree: the monotonic-stack and reference table
+// builders coincide on fuzzed systems.
 func TestQuickBuildersAgree(t *testing.T) {
 	f := func(seed int64, a, b, c byte) bool {
 		sys := qsys(seed, a, b, c)
 		s := BuildTDTable(sys)
-		p := BuildTDTableParallel(sys)
 		r := buildTDTableReference(sys)
 		for q := core.Level(0); q <= sys.QMax(); q++ {
 			for i := 0; i <= sys.NumActions(); i++ {
-				if s.TD(i, q) != p.TD(i, q) || s.TD(i, q) != r.TD(i, q) {
+				if s.TD(i, q) != r.TD(i, q) {
 					return false
 				}
 			}

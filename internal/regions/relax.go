@@ -50,8 +50,7 @@ func BuildRelaxTables(td *TDTable, rho []int) (*RelaxTables, error) {
 // is what keeps their size proportional to the spec's own.
 const maxRelaxSteps = 32
 
-// newRelaxTables validates rho and allocates the tables' rows, shared
-// by the serial and parallel builders.
+// newRelaxTables validates rho and allocates the tables' rows.
 func newRelaxTables(td *TDTable, rho []int) (*RelaxTables, error) {
 	if len(rho) == 0 {
 		return nil, fmt.Errorf("regions: empty relaxation set")
@@ -94,8 +93,7 @@ func newRelaxTables(td *TDTable, rho []int) (*RelaxTables, error) {
 }
 
 // fillRelaxLevel fills level q's rows for every r ∈ ρ: e(j) is computed
-// once for the level, then each row is one monotonic-deque pass. It
-// writes only level q's rows, so levels may be filled concurrently.
+// once for the level, then each row is one monotonic-deque pass.
 func fillRelaxLevel(rt *RelaxTables, q int) {
 	td, sys := rt.td, rt.td.sys
 	n := sys.NumActions()

@@ -35,13 +35,13 @@ func TestBuildRelaxTablesValidation(t *testing.T) {
 	for i := range rho {
 		rho[i] = i + 1
 	}
-	if _, err := BuildRelaxTablesParallel(tab, rho[:maxRelaxSteps]); err != nil {
+	if _, err := BuildRelaxTables(tab, rho[:maxRelaxSteps]); err != nil {
 		t.Errorf("|rho| at the limit rejected: %v", err)
 	}
-	if _, err := BuildRelaxTablesParallel(tab, rho); err == nil || !strings.Contains(err.Error(), "33 steps, limit is 32") {
+	if _, err := BuildRelaxTables(tab, rho); err == nil || !strings.Contains(err.Error(), "33 steps, limit is 32") {
 		t.Errorf("|rho| above the limit: %v", err)
 	}
-	if rt, err = BuildRelaxTablesParallel(tab, []int{1, math.MaxInt}); err != nil {
+	if rt, err = BuildRelaxTables(tab, []int{1, math.MaxInt}); err != nil {
 		t.Fatal(err)
 	}
 	if rt.InRegion(0, 0, 0, 1) {
@@ -61,9 +61,33 @@ func TestRelaxTablesEntryCountMatchesPaper(t *testing.T) {
 	}
 }
 
+// relaxByDefinition evaluates the r-step relaxation interval of state i
+// at level q directly from the tD table: the upper bound is the
+// Proposition 3 formula, min over j ∈ [i, i+r-1] of
+// tD(s_j, q) − Cwc(a_i..a_{j-1}, q); the lower bound is tD(s_{i+r-1}, q+1),
+// or -inf at qmax. A state with fewer than r actions left has the empty
+// interval (-inf, -inf].
+func relaxByDefinition(tab *TDTable, i int, q core.Level, r int) (lo, hi core.Time) {
+	sys := tab.Sys()
+	if i+r > sys.NumActions() {
+		return core.TimeNegInf, core.TimeNegInf
+	}
+	hi = core.TimeInf
+	for j := i; j <= i+r-1; j++ {
+		v := tab.TD(j, q)
+		if !v.IsInf() {
+			v -= sys.WCRange(i, j-1, q)
+		}
+		hi = core.MinTime(hi, v)
+	}
+	lo = core.TimeNegInf
+	if q < sys.QMax() {
+		lo = tab.TD(i+r-1, q+1)
+	}
+	return lo, hi
+}
+
 func TestRelaxUpperMatchesDefinition(t *testing.T) {
-	// upper[q][r][i] must equal the Proposition 3 formula evaluated
-	// directly: min over j ∈ [i, i+r-1] of tD(s_j, q) − Cwc(a_i..a_{j-1}, q).
 	for seed := int64(0); seed < 20; seed++ {
 		sys := randSys(seed, core.RandomSystemConfig{Actions: 25, DeadlineEvery: 7})
 		tab := BuildTDTable(sys)
@@ -73,16 +97,8 @@ func TestRelaxUpperMatchesDefinition(t *testing.T) {
 		for q := core.Level(0); q <= sys.QMax(); q++ {
 			for ri, r := range rho {
 				for i := 0; i+r <= n; i++ {
-					want := core.TimeInf
-					for j := i; j <= i+r-1; j++ {
-						v := tab.TD(j, q)
-						if !v.IsInf() {
-							v -= sys.WCRange(i, j-1, q)
-						}
-						want = core.MinTime(want, v)
-					}
-					_, hi := rt.Interval(i, q, ri)
-					if hi != want {
+					_, want := relaxByDefinition(tab, i, q, r)
+					if _, hi := rt.Interval(i, q, ri); hi != want {
 						t.Fatalf("seed %d: upper[%v][r=%d][%d] = %v, want %v", seed, q, r, i, hi, want)
 					}
 				}
@@ -100,17 +116,46 @@ func TestRelaxLowerMatchesDefinition(t *testing.T) {
 	for q := core.Level(0); q <= sys.QMax(); q++ {
 		for ri, r := range rho {
 			for i := 0; i+r <= n; i++ {
-				lo, _ := rt.Interval(i, q, ri)
-				if q == sys.QMax() {
-					if lo != core.TimeNegInf {
-						t.Fatalf("qmax lower bound = %v, want -inf", lo)
-					}
-				} else if lo != tab.TD(i+r-1, q+1) {
-					t.Fatalf("lower[%v][r=%d][%d] = %v, want tD(s_%d, q+1) = %v",
-						q, r, i, lo, i+r-1, tab.TD(i+r-1, q+1))
+				want, _ := relaxByDefinition(tab, i, q, r)
+				if lo, _ := rt.Interval(i, q, ri); lo != want {
+					t.Fatalf("lower[%v][r=%d][%d] = %v, want %v", q, r, i, lo, want)
 				}
 			}
 		}
+	}
+}
+
+// TestParallelRelaxTablesMatchSerial: on wider random systems, every
+// interval BuildRelaxTables stores — the empty ones near the cycle end
+// included — equals relaxByDefinition. The name is kept from the retired
+// parallel builder.
+func TestParallelRelaxTablesMatchSerial(t *testing.T) {
+	rho := []int{1, 3, 9, 17}
+	for seed := int64(0); seed < 12; seed++ {
+		sys := randSys(seed, core.RandomSystemConfig{Actions: 50, DeadlineEvery: 11})
+		tab := BuildTDTable(sys)
+		rt := MustBuildRelaxTables(tab, rho)
+		for q := core.Level(0); q <= sys.QMax(); q++ {
+			for ri, r := range rho {
+				for i := 0; i < sys.NumActions(); i++ {
+					wlo, whi := relaxByDefinition(tab, i, q, r)
+					if lo, hi := rt.Interval(i, q, ri); lo != wlo || hi != whi {
+						t.Fatalf("seed %d: q=%v r=%d i=%d: interval (%v, %v], definition (%v, %v]",
+							seed, q, r, i, lo, hi, wlo, whi)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestParallelRelaxTablesValidation: BuildRelaxTables rejects a
+// relaxation set without the single step.
+func TestParallelRelaxTablesValidation(t *testing.T) {
+	sys := randSys(3, core.RandomSystemConfig{DeadlineEvery: 5})
+	tab := BuildTDTable(sys)
+	if _, err := BuildRelaxTables(tab, []int{2}); err == nil {
+		t.Fatal("rho without 1 accepted")
 	}
 }
 
@@ -211,27 +256,24 @@ func TestStepsAlwaysAtLeastOne(t *testing.T) {
 	}
 }
 
-// TestRelaxTablesSerialisationRoundTrip: the digest is equal for the
-// serial and the parallel relaxation build, and changes when any one
-// upper or lower bound changes.
+// TestRelaxTablesSerialisationRoundTrip: the digest is equal for
+// relaxation tables built over the monotonic-stack and the reference tD
+// table of one system, and changes when any one upper or lower bound
+// changes.
 func TestRelaxTablesSerialisationRoundTrip(t *testing.T) {
 	sys := randSys(40, core.RandomSystemConfig{Actions: 22, DeadlineEvery: 6})
-	tab := BuildTDTable(sys)
-	rt := MustBuildRelaxTables(tab, []int{1, 3, 7})
-	par, err := BuildRelaxTablesParallel(tab, []int{1, 3, 7})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt := MustBuildRelaxTables(BuildTDTable(sys), []int{1, 3, 7})
+	ref := MustBuildRelaxTables(buildTDTableReference(sys), []int{1, 3, 7})
 	want := rt.Digest()
-	if got := par.Digest(); got != want {
-		t.Fatalf("parallel build digests %016x, serial %016x", got, want)
+	if got := ref.Digest(); got != want {
+		t.Fatalf("build over the reference table digests %016x, over BuildTDTable %016x", got, want)
 	}
-	for q := range par.upper {
-		for ri := range par.rho {
-			for _, row := range [][]core.Time{par.upper[q][ri], par.lower[q][ri]} {
+	for q := range ref.upper {
+		for ri := range ref.rho {
+			for _, row := range [][]core.Time{ref.upper[q][ri], ref.lower[q][ri]} {
 				for i := range row {
 					row[i]++
-					if par.Digest() == want {
+					if ref.Digest() == want {
 						t.Fatalf("digest unchanged after a bound changed at q=%d ri=%d i=%d", q, ri, i)
 					}
 					row[i]--
@@ -239,7 +281,7 @@ func TestRelaxTablesSerialisationRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if par.Digest() != want {
+	if ref.Digest() != want {
 		t.Fatal("digest not restored with the tables")
 	}
 }

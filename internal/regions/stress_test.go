@@ -32,11 +32,11 @@ func TestLargeSystemScaling(t *testing.T) {
 	if err := sys.Feasible(); err != nil {
 		t.Fatal(err)
 	}
-	tab := BuildTDTableParallel(sys)
+	tab := BuildTDTable(sys)
 	if err := tab.validate(); err != nil {
 		t.Fatal(err)
 	}
-	rt, err := BuildRelaxTablesParallel(tab, []int{1, 10, 100, 1000})
+	rt, err := BuildRelaxTables(tab, []int{1, 10, 100, 1000})
 	if err != nil {
 		t.Fatal(err)
 	}

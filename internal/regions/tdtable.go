@@ -85,6 +85,43 @@ func BuildTDTable(sys *core.System) *TDTable {
 	return t
 }
 
+// buildLevel runs BuildTDTable's monotonic-stack pass for one level,
+// writing the level's strided column of t's flat payload.
+func buildLevel(sys *core.System, q core.Level, c []core.Time, t *TDTable) {
+	n := sys.NumActions()
+	nq := t.nq
+	type segment struct {
+		hmax core.Time
+		minC core.Time
+		best core.Time
+	}
+	t.td[n*nq+int(q)] = core.TimeInf
+	stack := make([]segment, 0, 64)
+	for i := n - 1; i >= 0; i-- {
+		h := hq(sys, i, q)
+		minC := c[i]
+		for len(stack) > 0 && stack[len(stack)-1].hmax <= h {
+			top := stack[len(stack)-1]
+			minC = core.MinTime(minC, top.minC)
+			stack = stack[:len(stack)-1]
+		}
+		contrib := core.TimeInf
+		if minC < core.TimeInf {
+			contrib = minC - h
+		}
+		best := contrib
+		if len(stack) > 0 {
+			best = core.MinTime(best, stack[len(stack)-1].best)
+		}
+		stack = append(stack, segment{hmax: h, minC: minC, best: best})
+		if best >= core.TimeInf {
+			t.td[i*nq+int(q)] = core.TimeInf
+		} else {
+			t.td[i*nq+int(q)] = best + sys.AvPrefix(i, q)
+		}
+	}
+}
+
 // deadlineSlack precomputes the level-independent c(k) = D(a_k) − W[k+1]
 // terms shared by every level's monotonic-stack pass.
 func deadlineSlack(sys *core.System) []core.Time {

@@ -37,6 +37,38 @@ func TestBuildTDTableMatchesReference(t *testing.T) {
 	}
 }
 
+// TestParallelTDTableMatchesSerial: BuildTDTable agrees with the
+// reference evaluator on wider systems (60 actions, 8 levels), with and
+// without deadlines. The name is kept from the retired parallel builder,
+// whose levels ran as independent passes exactly as BuildTDTable's do.
+func TestParallelTDTableMatchesSerial(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		cfg := core.RandomSystemConfig{Actions: 60, Levels: 8}
+		if seed%2 == 1 {
+			cfg.DeadlineEvery = 7
+		}
+		sys := randSys(seed, cfg)
+		tab := BuildTDTable(sys)
+		ref := buildTDTableReference(sys)
+		for q := core.Level(0); q <= sys.QMax(); q++ {
+			for i := 0; i <= sys.NumActions(); i++ {
+				if tab.TD(i, q) != ref.TD(i, q) {
+					t.Fatalf("seed %d: tD[%v][%d] = %v, reference %v",
+						seed, q, i, tab.TD(i, q), ref.TD(i, q))
+				}
+			}
+		}
+	}
+}
+
+func BenchmarkBuildTDTableSerial(b *testing.B) {
+	sys := randSys(1, core.RandomSystemConfig{Actions: 5000, Levels: 16, DeadlineEvery: 100})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		BuildTDTable(sys)
+	}
+}
+
 func TestTDTableValidate(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		sys := randSys(seed, core.RandomSystemConfig{DeadlineEvery: 5})
@@ -152,25 +184,25 @@ func TestIntervalBordersShared(t *testing.T) {
 
 // TestTDTableSerialisationRoundTrip: a bundle carries the digest of its
 // tables instead of the tables, so the digest must be a function of the
-// table alone — equal for the serial and the parallel build — and must
-// notice a change to any single tD entry.
+// table alone — equal for the monotonic-stack and the reference build —
+// and must notice a change to any single tD entry.
 func TestTDTableSerialisationRoundTrip(t *testing.T) {
 	sys := randSys(4, core.RandomSystemConfig{Actions: 18, DeadlineEvery: 5})
 	tab := BuildTDTable(sys)
 	want := MustBuildRelaxTables(tab, []int{1, 3}).Digest()
-	par := MustBuildRelaxTables(BuildTDTableParallel(sys), []int{1, 3})
-	if got := par.Digest(); got != want {
-		t.Fatalf("parallel build digests %016x, serial %016x", got, want)
+	ref := MustBuildRelaxTables(buildTDTableReference(sys), []int{1, 3})
+	if got := ref.Digest(); got != want {
+		t.Fatalf("reference build digests %016x, BuildTDTable %016x", got, want)
 	}
-	td := par.TDTable().td
+	td := ref.TDTable().td
 	for k := range td {
 		td[k]++
-		if par.Digest() == want {
+		if ref.Digest() == want {
 			t.Fatalf("digest unchanged after tD entry %d (i=%d q=%d) changed", k, k/tab.nq, k%tab.nq)
 		}
 		td[k]--
 	}
-	if par.Digest() != want {
+	if ref.Digest() != want {
 		t.Fatal("digest not restored with the table")
 	}
 }
