@@ -188,9 +188,11 @@ func BenchmarkFleet16Streams(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			var res *fleet.Result
 			for i := 0; i < b.N; i++ {
-				var err error
-				res, err = s.RunFleet(1, streams, w)
+				pop, err := s.FleetStreams(1, streams)
 				if err != nil {
+					b.Fatal(err)
+				}
+				if res, err = fleet.RunStats(fleet.Config{Streams: pop, Workers: w}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -198,10 +200,11 @@ func BenchmarkFleet16Streams(b *testing.B) {
 				b.Fatal(err)
 			}
 			traces := make([]*sim.Trace, len(res.Streams))
+			stats := make([]*sim.StatsSink, len(res.Streams))
 			for k, sr := range res.Streams {
-				traces[k] = sr.Trace
+				traces[k], stats[k] = sr.Trace, sr.Stats
 			}
-			fs := metrics.AggregateTraces(traces)
+			fs := metrics.AggregateStats(traces, stats)
 			b.ReportMetric(100*fs.MissRate, "missrate_pct")
 			b.ReportMetric(fs.AvgQuality, "avg_quality")
 		})

@@ -9,7 +9,7 @@
 // Usage:
 //
 //	qmfleet [-streams 16] [-workers 0] [-batch 32] [-cycles 8] [-seed 1]
-//	        [-retain] [-csv records.csv] [-json fleet.json]
+//	        [-csv records.csv] [-json fleet.json]
 //	        [-arrivals fixed|poisson|bursty|trace:file.csv]
 //	        [-rate 1] [-burst 4] [-admit all|cap=K[,queue=N]|budget=U[,queue=N]]
 //	        [-instances 1] [-route round-robin|least-backlog|weighted|affinity]
@@ -42,12 +42,11 @@
 // Chrome trace JSON. Neither changes results: the engine is
 // property-tested byte-identical with observability on and off.
 //
-// Streams run zero-retention by default: each feeds a StatsSink and the
-// report is computed from streamed aggregates, so memory is O(streams)
-// regardless of run length. -retain restores full per-action traces.
-// -csv streams every action record to the given file as it is observed
-// (still zero retention; rows of different streams interleave in worker
-// order and carry a stream column). -json persists the run — config
+// Streams run zero-retention: each feeds a StatsSink and the report is
+// computed from streamed aggregates, so memory is O(streams) regardless
+// of run length. -csv streams every action record to the given file as
+// it is observed (rows of different streams interleave in worker order
+// and carry a stream column). -json persists the run — config
 // headline, fleet summary, open-system summary — for cmd/figures.
 package main
 
@@ -89,8 +88,7 @@ func main() {
 	mix := flag.String("mix", "encoder", "stream mix: encoder (paper fleet) or workloads (catalog mix)")
 	bundlePath := flag.String("bundle", "", "run the fleet from a compiled controller bundle (qmcompile output) instead of -mix")
 	manager := flag.String("manager", "relaxed", "manager instantiated from the bundle: numeric, symbolic, relaxed (with -bundle)")
-	retain := flag.Bool("retain", false, "retain full per-action traces (memory grows as streams × cycles × actions); default streams O(1)-memory statistics per stream")
-	csvPath := flag.String("csv", "", "stream per-action records to this CSV file with zero retention (incompatible with -retain)")
+	csvPath := flag.String("csv", "", "stream per-action records to this CSV file with zero retention")
 	arrivalsSpec := flag.String("arrivals", "", "open the system with this arrival process: fixed, poisson, bursty, or trace:file.csv (default: closed fleet, all streams at t=0)")
 	rate := flag.Float64("rate", 1, "mean arrivals per stream period (fixed/poisson/bursty)")
 	burst := flag.Float64("burst", 4, "burstiness of the bursty process: peak-to-mean arrival-rate ratio ≥ 1")
@@ -131,15 +129,9 @@ func main() {
 	if *burst < 1 || math.IsNaN(*burst) || math.IsInf(*burst, 0) {
 		log.Fatalf("-burst must be a peak-to-mean ratio ≥ 1, got %v", *burst)
 	}
-	if *csvPath != "" && *retain {
-		log.Fatal("-csv streams records through the sink path; drop -retain (use metrics.WriteTraceCSV for retained traces)")
-	}
 	if *ckptDir != "" {
 		if *arrivalsSpec == "" {
 			log.Fatal("-checkpoint snapshots the open engine; add -arrivals")
-		}
-		if *retain {
-			log.Fatal("-checkpoint covers the zero-retention stats path; drop -retain")
 		}
 		if *csvPath != "" {
 			log.Fatal("-checkpoint cannot replay records already streamed to -csv; drop one of the two")
@@ -165,9 +157,6 @@ func main() {
 	if *instances > 1 {
 		if *arrivalsSpec == "" {
 			log.Fatal("-instances scales out the open engine; add -arrivals")
-		}
-		if *retain {
-			log.Fatal("-instances runs the zero-retention stats path; drop -retain")
 		}
 		if *csvPath != "" {
 			log.Fatal("-csv streams a single engine's records; drop it or -instances")
@@ -266,9 +255,6 @@ func main() {
 	}
 
 	mode := "streaming stats, zero retention"
-	if *retain {
-		mode = "full traces retained"
-	}
 	var csvFile *checkpoint.AtomicFile
 	var csvBuf *bufio.Writer
 	var cw *sim.CSVWriter
@@ -362,11 +348,7 @@ func main() {
 		if *ckptDir != "" {
 			res, err = runCheckpointed(cfg, *ckptDir, *every, *resumeRun, doc, cmet)
 		} else {
-			run := fleet.OpenRunStats
-			if *retain {
-				run = fleet.OpenRun
-			}
-			res, err = run(cfg)
+			res, err = fleet.OpenRunStats(cfg)
 		}
 		if err != nil {
 			log.Fatal(err)
@@ -377,13 +359,8 @@ func main() {
 		table = report.OpenTable(res, open, flat, fsum)
 		doc.Open = &open
 	} else {
-		closed := fleet.Config{Streams: cfg.Streams, Workers: cfg.Workers, BatchCycles: cfg.BatchCycles,
-			Export: cfg.Export, Obs: cfg.Obs, Trace: cfg.Trace}
-		run := fleet.RunStats
-		if *retain {
-			run = fleet.Run
-		}
-		res, err := run(closed)
+		res, err := fleet.RunStats(fleet.Config{Streams: cfg.Streams, Workers: cfg.Workers, BatchCycles: cfg.BatchCycles,
+			Export: cfg.Export, Obs: cfg.Obs, Trace: cfg.Trace})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -518,7 +495,13 @@ func buildProcess(spec string, cfg *fleet.OpenConfig, rate, burst float64, seed 
 		defer f.Close()
 		return arrivals.ReadCSV(f)
 	}
-	gap := core.Time(math.Round(float64(period) / rate))
+	// Go leaves the conversion of an out-of-range float to an integer to
+	// the implementation, so a gap or dwell past TimeInf is rejected first.
+	mean := math.Round(float64(period) / rate)
+	if mean >= float64(core.TimeInf) {
+		return nil, fmt.Errorf("-rate %v puts the mean arrival gap beyond the longest representable time; use a larger rate", rate)
+	}
+	gap := core.Time(mean)
 	if gap < 1 {
 		return nil, fmt.Errorf("-rate %v means more than one arrival per tick of the reference period %v; use a smaller rate", rate, period)
 	}
@@ -539,7 +522,11 @@ func buildProcess(spec string, cfg *fleet.OpenConfig, rate, burst float64, seed 
 			return nil, fmt.Errorf("-rate %v with -burst %v means more than one peak arrival per tick; lower the rate or the burst ratio", rate, burst)
 		}
 		on := 4 * period
-		off := core.Time(math.Round(float64(on) * (burst - 1)))
+		dwell := math.Round(float64(on) * (burst - 1))
+		if dwell >= float64(core.TimeInf) {
+			return nil, fmt.Errorf("-burst %v puts the off dwell beyond the longest representable time; use a smaller burst", burst)
+		}
+		off := core.Time(dwell)
 		if off < 1 {
 			return nil, fmt.Errorf("-burst %v is too close to 1: the off dwell rounds below one tick; raise the ratio or use -arrivals poisson", burst)
 		}

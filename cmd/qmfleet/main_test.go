@@ -51,6 +51,10 @@ func TestBuildProcess(t *testing.T) {
 			wantErr: "more than one peak arrival per tick"},
 		{name: "off dwell rounds below one tick", spec: "bursty", rate: 1, burst: 1 + 1e-12, seed: 7,
 			wantErr: "off dwell rounds below one tick"},
+		{name: "mean gap beyond the time range", spec: "poisson", rate: 1e-12, burst: 4, seed: 7,
+			wantErr: "use a larger rate"},
+		{name: "off dwell beyond the time range", spec: "bursty", rate: 1e-8, burst: 1e12, seed: 7,
+			wantErr: "use a smaller burst"},
 		{name: "trace file missing", spec: "trace:" + missing, rate: 1, burst: 4, seed: 7,
 			wantErr: "no such file"},
 		{name: "unknown spec", spec: "uniform", rate: 1, burst: 4, seed: 7,

@@ -6,7 +6,7 @@ import (
 	"repro/internal/core"
 )
 
-// Cursor adapts a Process to incremental, resumable consumption: a
+// cursor adapts a Process to incremental, resumable consumption: a
 // serving driver pulls arrival instants one at a time as it feeds
 // streams, checkpoints only the count consumed, and after a crash
 // re-materialises the process (Times is a pure function of the
@@ -14,25 +14,25 @@ import (
 // resumed cursor yields are therefore byte-identical to the ones the
 // uninterrupted cursor would have yielded — the arrival-side half of
 // the crash-recovery guarantee.
-type Cursor struct {
+type cursor struct {
 	times []core.Time
 	pos   int
 }
 
-// NewCursor materialises the first n instants of p. n bounds the run's
+// newCursor materialises the first n instants of p. n bounds the run's
 // population, exactly as the batch entry points do.
-func NewCursor(p Process, n int) (*Cursor, error) {
+func newCursor(p Process, n int) (*cursor, error) {
 	times, err := p.Times(n)
 	if err != nil {
 		return nil, err
 	}
-	return &Cursor{times: times}, nil
+	return &cursor{times: times}, nil
 }
 
-// NewCursorFromTimes wraps an explicit schedule (e.g. one replayed
+// newCursorFromTimes wraps an explicit schedule (e.g. one replayed
 // from a recorded trace file). The instants must be non-decreasing and
 // non-negative, the Process contract.
-func NewCursorFromTimes(times []core.Time) (*Cursor, error) {
+func newCursorFromTimes(times []core.Time) (*cursor, error) {
 	for i, t := range times {
 		if t < 0 || t.IsInf() {
 			return nil, fmt.Errorf("arrivals: instant %d (%v) out of range", i, t)
@@ -41,12 +41,12 @@ func NewCursorFromTimes(times []core.Time) (*Cursor, error) {
 			return nil, fmt.Errorf("arrivals: instant %d (%v) precedes %v", i, t, times[i-1])
 		}
 	}
-	return &Cursor{times: times}, nil
+	return &cursor{times: times}, nil
 }
 
 // Next yields the next arrival instant; ok is false when the schedule
 // is exhausted.
-func (c *Cursor) Next() (t core.Time, ok bool) {
+func (c *cursor) Next() (t core.Time, ok bool) {
 	if c.pos >= len(c.times) {
 		return 0, false
 	}
@@ -56,7 +56,7 @@ func (c *Cursor) Next() (t core.Time, ok bool) {
 }
 
 // Peek reports the next instant without consuming it.
-func (c *Cursor) Peek() (t core.Time, ok bool) {
+func (c *cursor) Peek() (t core.Time, ok bool) {
 	if c.pos >= len(c.times) {
 		return 0, false
 	}
@@ -65,14 +65,14 @@ func (c *Cursor) Peek() (t core.Time, ok bool) {
 
 // Pos returns the number of instants consumed so far — the single
 // integer a checkpoint stores for the arrival side.
-func (c *Cursor) Pos() int { return c.pos }
+func (c *cursor) Pos() int { return c.pos }
 
 // Remaining returns how many instants are left.
-func (c *Cursor) Remaining() int { return len(c.times) - c.pos }
+func (c *cursor) Remaining() int { return len(c.times) - c.pos }
 
 // Seek positions the cursor so that exactly pos instants count as
 // consumed — the restore of a checkpointed Pos.
-func (c *Cursor) Seek(pos int) error {
+func (c *cursor) Seek(pos int) error {
 	if pos < 0 || pos > len(c.times) {
 		return fmt.Errorf("arrivals: seek to %d outside the %d-instant schedule", pos, len(c.times))
 	}

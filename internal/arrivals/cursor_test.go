@@ -15,7 +15,7 @@ func TestCursorResumeEquivalence(t *testing.T) {
 	p := Bursty{GapOn: 2 * core.Millisecond, MeanOn: 9 * core.Millisecond,
 		MeanOff: 40 * core.Millisecond, Seed: 5}
 	const n = 17
-	whole, err := NewCursor(p, n)
+	whole, err := newCursor(p, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,13 +32,13 @@ func TestCursorResumeEquivalence(t *testing.T) {
 	}
 
 	for cut := 0; cut <= n; cut++ {
-		c1, _ := NewCursor(p, n)
+		c1, _ := newCursor(p, n)
 		for i := 0; i < cut; i++ {
 			c1.Next()
 		}
 		saved := c1.Pos()
 
-		c2, _ := NewCursor(p, n) // the post-crash re-materialisation
+		c2, _ := newCursor(p, n) // the post-crash re-materialisation
 		if err := c2.Seek(saved); err != nil {
 			t.Fatal(err)
 		}
@@ -57,16 +57,16 @@ func TestCursorResumeEquivalence(t *testing.T) {
 }
 
 func TestCursorValidation(t *testing.T) {
-	if _, err := NewCursorFromTimes([]core.Time{3, 2}); err == nil {
+	if _, err := newCursorFromTimes([]core.Time{3, 2}); err == nil {
 		t.Fatal("decreasing schedule accepted")
 	}
-	if _, err := NewCursorFromTimes([]core.Time{-1}); err == nil {
+	if _, err := newCursorFromTimes([]core.Time{-1}); err == nil {
 		t.Fatal("negative instant accepted")
 	}
-	if _, err := NewCursorFromTimes([]core.Time{core.TimeInf}); err == nil {
+	if _, err := newCursorFromTimes([]core.Time{core.TimeInf}); err == nil {
 		t.Fatal("infinite instant accepted")
 	}
-	c, err := NewCursorFromTimes([]core.Time{1, 1, 4})
+	c, err := newCursorFromTimes([]core.Time{1, 1, 4})
 	if err != nil {
 		t.Fatal(err)
 	}

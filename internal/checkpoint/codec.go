@@ -78,8 +78,8 @@ const (
 var magic = [8]byte{'Q', 'M', 'F', 'C', 'K', 'P', 'T', 0}
 
 // Encode writes s to w in the versioned, CRC-wrapped binary format.
-// Captures are stats-mode by construction; a capture carrying retained
-// records is a caller bug and is rejected rather than silently dropped.
+// The engine retains no records, so a capture carrying some is a
+// caller bug and is rejected rather than silently dropped.
 // The snapshot is sized from the capture, encoded in one pass into one
 // buffer and handed to w in a single Write.
 func Encode(w io.Writer, s *Snapshot) error {

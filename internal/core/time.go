@@ -101,8 +101,8 @@ func AddSat(a, b Time) Time {
 	return s
 }
 
-// SubSat subtracts b from a with the same saturation rules as AddSat.
-func SubSat(a, b Time) Time { return AddSat(a, -b) }
+// subSat subtracts b from a with the same saturation rules as AddSat.
+func subSat(a, b Time) Time { return AddSat(a, -b) }
 
 // MinTime returns the smaller of a and b.
 func MinTime(a, b Time) Time {

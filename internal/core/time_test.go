@@ -81,14 +81,14 @@ func TestAddSatUndefined(t *testing.T) {
 }
 
 func TestSubSat(t *testing.T) {
-	if got := SubSat(5, 3); got != 2 {
-		t.Fatalf("SubSat = %v", got)
+	if got := subSat(5, 3); got != 2 {
+		t.Fatalf("subSat = %v", got)
 	}
-	if got := SubSat(TimeNegInf, 100); got != TimeNegInf {
-		t.Fatalf("SubSat(-inf, x) = %v", got)
+	if got := subSat(TimeNegInf, 100); got != TimeNegInf {
+		t.Fatalf("subSat(-inf, x) = %v", got)
 	}
-	if got := SubSat(7, TimeNegInf); got != TimeInf {
-		t.Fatalf("SubSat(x, -inf) = %v", got)
+	if got := subSat(7, TimeNegInf); got != TimeInf {
+		t.Fatalf("subSat(x, -inf) = %v", got)
 	}
 }
 

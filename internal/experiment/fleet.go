@@ -3,7 +3,6 @@ package experiment
 import (
 	"fmt"
 
-	"repro/internal/arrivals"
 	"repro/internal/fleet"
 	"repro/internal/regions"
 	"repro/internal/sim"
@@ -66,53 +65,6 @@ func (s *Setup) FleetStreamsUncached(seed uint64, n int) ([]fleet.Stream, error)
 		streams[k].Runner.Mgr = regions.NewRelaxedManagerUncached(s.Relax)
 	}
 	return streams, nil
-}
-
-// RunFleet routes n paper streams through the fleet engine on the given
-// worker pool. The per-stream traces are byte-identical to serial
-// Runner runs at the same derived seeds.
-func (s *Setup) RunFleet(seed uint64, n, workers int) (*fleet.Result, error) {
-	streams, err := s.FleetStreams(seed, n)
-	if err != nil {
-		return nil, err
-	}
-	return fleet.Run(fleet.Config{Streams: streams, Workers: workers})
-}
-
-// RunFleetStats is RunFleet through the zero-retention sink path: each
-// stream feeds a StatsSink and no records are materialised, so memory
-// stays O(streams) however long the run. The aggregates equal the
-// retained run's exactly.
-func (s *Setup) RunFleetStats(seed uint64, n, workers int) (*fleet.Result, error) {
-	streams, err := s.FleetStreams(seed, n)
-	if err != nil {
-		return nil, err
-	}
-	return fleet.RunStats(fleet.Config{Streams: streams, Workers: workers})
-}
-
-// RunOpenFleet drives n paper-encoder streams through the continuous
-// open-system engine: arrivals from the given process (materialized
-// into a flat instant slab with one Times call), admission by the
-// given controller (nil = admit all). It is RunFleetStats for live
-// traffic — the executed streams' traces are still byte-identical to
-// serial runs at the same derived seeds, whatever the worker count,
-// and so are the admission decisions.
-func (s *Setup) RunOpenFleet(seed uint64, n, workers int, proc arrivals.Process, adm fleet.Admitter) (*fleet.OpenResult, error) {
-	streams, err := s.FleetStreams(seed, n)
-	if err != nil {
-		return nil, err
-	}
-	times, err := proc.Times(n)
-	if err != nil {
-		return nil, err
-	}
-	return fleet.OpenRunStats(fleet.OpenConfig{
-		Streams:  streams,
-		Arrivals: times,
-		Admit:    adm,
-		Workers:  workers,
-	})
 }
 
 // WorkloadFleet builds a mixed fleet over the workloads catalog: stream

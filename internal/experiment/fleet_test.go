@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/arrivals"
-	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -14,20 +13,24 @@ import (
 func TestRunFleetMatchesSerialRunner(t *testing.T) {
 	s := Paper(1)
 	s.Cycles = 2
-	res, err := s.RunFleet(9, 3, 2)
+	streams, err := s.FleetStreams(9, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sinks := make([]sim.TraceSink, len(streams))
+	res, err := fleet.RunStats(fleet.Config{Streams: streams, Workers: 2,
+		Export: func(k int, _ string) sim.Sink { return &sinks[k] }})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := res.Err(); err != nil {
 		t.Fatal(err)
 	}
-	streams, err := s.FleetStreams(9, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for k, stream := range streams {
 		serial := stream.Runner.MustRun()
-		if !reflect.DeepEqual(res.Streams[k].Trace, serial) {
+		got := *res.Streams[k].Trace
+		got.Records = sinks[k].Records
+		if !reflect.DeepEqual(&got, serial) {
 			t.Fatalf("stream %d: fleet trace differs from serial runner", k)
 		}
 	}
@@ -44,7 +47,11 @@ func TestRunFleetMatchesSerialRunner(t *testing.T) {
 func TestPaperFleetStaysSafe(t *testing.T) {
 	s := Paper(2)
 	s.Cycles = 3
-	res, err := s.RunFleet(2, 6, 0)
+	streams, err := s.FleetStreams(2, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := fleet.RunStats(fleet.Config{Streams: streams})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,10 +59,12 @@ func TestPaperFleetStaysSafe(t *testing.T) {
 		t.Fatal(err)
 	}
 	var traces []*sim.Trace
+	var stats []*sim.StatsSink
 	for _, sr := range res.Streams {
 		traces = append(traces, sr.Trace)
+		stats = append(stats, sr.Stats)
 	}
-	fs := metrics.AggregateTraces(traces)
+	fs := metrics.AggregateStats(traces, stats)
 	if fs.Streams != 6 {
 		t.Fatalf("aggregated %d streams, want 6", fs.Streams)
 	}
@@ -82,7 +91,7 @@ func TestWorkloadFleetMixesCatalog(t *testing.T) {
 	if len(distinct) != 3 {
 		t.Fatalf("workload mix covers %d workloads, want 3", len(distinct))
 	}
-	res, err := fleet.Run(fleet.Config{Streams: streams, Workers: 4})
+	res, err := fleet.RunStats(fleet.Config{Streams: streams, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,16 +111,23 @@ func TestWorkloadFleetMixesCatalog(t *testing.T) {
 	}
 }
 
-// TestRunOpenFleet: the open-system wrapper admits the whole paper
-// population under an ample cap and its executed traces match the
-// closed fleet's (same seeds, same streams — arrivals only shift the
-// lifecycle, never the content).
+// TestRunOpenFleet: the open engine admits the whole paper population
+// under an ample cap and its executed traces match the closed fleet's
+// (same seeds, same streams — arrivals only shift the lifecycle, never
+// the content).
 func TestRunOpenFleet(t *testing.T) {
 	s := Paper(1)
 	s.Cycles = 2
 	const n, seed = 3, 9
-	proc := arrivals.Poisson{MeanGap: s.Period, Seed: 4}
-	open, err := s.RunOpenFleet(seed, n, 2, proc, fleet.CapK{K: 2, Queue: -1})
+	streams, err := s.FleetStreams(seed, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	times, err := arrivals.Poisson{MeanGap: s.Period, Seed: 4}.Times(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	open, err := fleet.OpenRunStats(fleet.OpenConfig{Streams: streams, Arrivals: times, Admit: fleet.CapK{K: 2, Queue: -1}, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +137,11 @@ func TestRunOpenFleet(t *testing.T) {
 	if open.Admitted != n || open.Shed != 0 {
 		t.Fatalf("ample cap admitted %d, shed %d", open.Admitted, open.Shed)
 	}
-	closed, err := s.RunFleetStats(seed, n, 2)
+	streams, err = s.FleetStreams(seed, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed, err := fleet.RunStats(fleet.Config{Streams: streams, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,14 +152,5 @@ func TestRunOpenFleet(t *testing.T) {
 		if !reflect.DeepEqual(closed.Streams[k].Stats, open.Streams[k].Stats) {
 			t.Fatalf("stream %d: open stats differ from closed fleet", k)
 		}
-	}
-
-	// Arrival-process errors surface instead of panicking.
-	short, err := arrivals.NewTrace([]core.Time{0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.RunOpenFleet(seed, n, 2, short, nil); err == nil {
-		t.Fatal("overdrawn trace process accepted")
 	}
 }

@@ -64,8 +64,8 @@ type LiveSlot struct {
 // the per-stream outcomes split into finished and in-flight. It aliases
 // nothing in the engine, holds no pointers into any slab, and together
 // with the run's configuration (streams, arrivals, admitter) determines
-// the rest of the run exactly. Captures exist only for the stats
-// (zero-retention) path, whose per-stream state is O(1) by design.
+// the rest of the run exactly. The engine retains no records, so each
+// stream's captured state is O(1).
 type OpenCapture struct {
 	// Events counts the event groups processed so far — the engine's
 	// checkpoint-boundary clock.
@@ -217,9 +217,6 @@ func errCorruptCapture(what string) error {
 // the uninterrupted run had — so the event gate resumes with the same
 // information the serial spec's loop would hold.
 func (f *openFrontier) restore(c *OpenCapture) error {
-	if !f.stats {
-		return errors.New("fleet: capture restore requires the stats path")
-	}
 	if len(c.Lifecycles) > f.n {
 		return errCorruptCapture(fmt.Sprintf("%d lifecycles for %d streams", len(c.Lifecycles), f.n))
 	}
@@ -313,7 +310,7 @@ type CheckpointFunc func(c *OpenCapture) error
 // any (workers, batch) — the crash-safety property the checkpoint
 // package builds on.
 func OpenRunStatsCheckpointed(cfg OpenConfig, resume *OpenCapture, every int64, fn CheckpointFunc) (*OpenResult, error) {
-	ol, err := loadOpen(&cfg, true)
+	ol, err := loadOpen(&cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -7,8 +7,8 @@
 // advance the admitted streams in configurable cycle batches, each
 // sweeping its own contiguous range of slots and touching a shared
 // atomic counter only to steal once that range is dry — there is no
-// channel round-trip per stream-step. A closed fleet (Run, RunStats) is
-// the open system with every stream arriving at t = 0 under AdmitAll.
+// channel round-trip per stream-step. A closed fleet (RunStats) is the
+// open system with every stream arriving at t = 0 under AdmitAll.
 // The paper's Quality Manager was built for exactly this reuse:
 // core.Manager decisions are deterministic functions of (state, time)
 // over immutable pre-computed tables (memoized further by the regions
@@ -22,10 +22,14 @@
 // and an open run is byte-identical to the serial, single-goroutine
 // spec (OpenRunStatsSerial). One driver, OpenLive, runs the engine:
 // batch runs load their population into it, serving runs feed it.
+//
+// Every executed stream streams its records into its own StatsSink, and
+// no record is retained: results carry each stream's scalar trace and
+// its sink. A caller that needs the records themselves tees a sink in
+// through Export; the serial sim.Runner still retains them.
 package fleet
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/controller"
@@ -61,8 +65,7 @@ type Config struct {
 	// Export, when non-nil, supplies an extra per-stream sink (e.g. a
 	// CSVWriter's per-stream sinks) that RunStats tees each stream's
 	// records into alongside its StatsSink; returning nil skips the
-	// stream. Run rejects it: retained records and streamed export are
-	// redundant — export the retained trace instead.
+	// stream.
 	Export func(k int, name string) sim.Sink
 	// Obs, when non-nil, enables the engine's metric hooks exactly as
 	// OpenConfig.Obs does: the frontier's serial-order counters see n
@@ -75,15 +78,14 @@ type Config struct {
 	Trace *obs.Trace
 }
 
-// StreamResult pairs a stream with its trace (or per-stream error).
-// Under Run the trace retains every record; under RunStats it carries
-// only the O(1) scalar aggregates and Stats holds the streamed
-// record-derived quantities.
+// StreamResult pairs a stream with its trace (or per-stream error). The
+// trace carries only the O(1) scalar aggregates; Stats holds the
+// streamed record-derived quantities.
 type StreamResult struct {
 	Name  string
 	Trace *sim.Trace
-	// Stats is the stream's zero-retention aggregate; non-nil only for
-	// streams executed through RunStats.
+	// Stats is the stream's zero-retention aggregate; nil only for a
+	// stream that was shed before it ran.
 	Stats *sim.StatsSink
 	Err   error
 }
@@ -104,34 +106,23 @@ func (r *Result) Err() error {
 	return nil
 }
 
-// Run executes every stream of the fleet and returns the per-stream
-// results in input order, with full traces retained. Configuration
-// errors of individual streams are reported per stream, so one bad
-// stream does not abort the fleet.
-func Run(cfg Config) (*Result, error) {
-	if cfg.Export != nil {
-		return nil, errors.New("fleet: Export needs the streaming path; use RunStats")
-	}
-	return run(cfg, false)
-}
-
-// RunStats executes the fleet with one StatsSink per stream: no records
+// RunStats executes every stream of the fleet with one StatsSink per
+// stream and returns the per-stream results in input order. No records
 // are retained anywhere, so fleet memory is O(streams · |Q|) instead of
 // O(streams × cycles × actions), and the steady-state hot path is
 // allocation-free. Each StreamResult carries the scalar-only trace plus
 // its Stats; metrics.AggregateStats turns them into the same
-// FleetSummary a retained Run would yield (property-tested). Any sink
-// the caller pre-set on a stream's Runner is replaced; Config.Export
-// sinks are teed in.
+// FleetSummary that metrics.AggregateTraces yields over serial
+// sim.Runner traces (property-tested). Any sink the caller pre-set on a
+// stream's Runner is replaced; Config.Export sinks are teed in.
+// Configuration errors of individual streams are reported per stream,
+// so one bad stream does not abort the fleet.
+//
+// The closed fleet runs as the open system it is: every stream arrives
+// at t = 0 under AdmitAll, so nothing is delayed or shed and each
+// stream's result is exactly its serial run.
 func RunStats(cfg Config) (*Result, error) {
-	return run(cfg, true)
-}
-
-// run executes the closed fleet as the open system it is: every stream
-// arrives at t = 0 under AdmitAll, so nothing is delayed or shed and
-// each stream's result is exactly its serial run.
-func run(cfg Config, stats bool) (*Result, error) {
-	res, err := openRun(&OpenConfig{
+	res, err := OpenRunStats(OpenConfig{
 		Streams:     cfg.Streams,
 		Arrivals:    make([]core.Time, len(cfg.Streams)),
 		Workers:     cfg.Workers,
@@ -139,7 +130,7 @@ func run(cfg Config, stats bool) (*Result, error) {
 		Export:      cfg.Export,
 		Obs:         cfg.Obs,
 		Trace:       cfg.Trace,
-	}, stats)
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -51,6 +51,41 @@ func mixedStreams(t *testing.T, n, cycles int, baseSeed uint64) []Stream {
 	return streams
 }
 
+// recorded runs cfg through run with one sim.TraceSink per stream teed
+// in through Export, and puts each sink's records on its executed
+// stream's trace — the shape sim.Runner.Run returns. The engine retains
+// no records itself, so this is how the tests compare it record for
+// record against serial runs and the spec.
+func recorded[C Config | OpenConfig, R *Result | *OpenResult](run func(C) (R, error), cfg C) (R, error) {
+	var sinks []sim.TraceSink
+	export := func(k int, _ string) sim.Sink { return &sinks[k] }
+	switch c := any(&cfg).(type) {
+	case *Config:
+		sinks = make([]sim.TraceSink, len(c.Streams))
+		c.Export = export
+	case *OpenConfig:
+		sinks = make([]sim.TraceSink, len(c.Streams))
+		c.Export = export
+	}
+	res, err := run(cfg)
+	if err != nil {
+		return res, err
+	}
+	var streams []StreamResult
+	switch r := any(res).(type) {
+	case *Result:
+		streams = r.Streams
+	case *OpenResult:
+		streams = r.Streams
+	}
+	for k := range streams {
+		if tr := streams[k].Trace; tr != nil {
+			tr.Records = sinks[k].Records
+		}
+	}
+	return res, nil
+}
+
 // okTraces returns the traces of the streams that ran, in stream order.
 func okTraces(res *Result) []*sim.Trace {
 	var out []*sim.Trace
@@ -76,7 +111,7 @@ func traceBytes(t *testing.T, tr *sim.Trace) []byte {
 // serial runner's — parallelism changes wall-clock time, never results.
 func TestFleetTraceByteIdenticalToSerial(t *testing.T) {
 	streams := mixedStreams(t, 9, 4, 17)
-	res, err := Run(Config{Streams: streams, Workers: 4})
+	res, err := recorded(RunStats, Config{Streams: streams, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,12 +137,12 @@ func TestFleetTraceByteIdenticalToSerial(t *testing.T) {
 // different pool sizes; every worker count must produce the same traces
 // in the same stream order.
 func TestFleetDeterministicAcrossWorkerCounts(t *testing.T) {
-	base, err := Run(Config{Streams: mixedStreams(t, 6, 3, 5), Workers: 1})
+	base, err := recorded(RunStats, Config{Streams: mixedStreams(t, 6, 3, 5), Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 3, 16} {
-		res, err := Run(Config{Streams: mixedStreams(t, 6, 3, 5), Workers: workers})
+		res, err := recorded(RunStats, Config{Streams: mixedStreams(t, 6, 3, 5), Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +174,7 @@ func TestFleetStressStreamsOverWorkers(t *testing.T) {
 			},
 		}
 	}
-	res, err := Run(Config{Streams: streams, Workers: 4})
+	res, err := recorded(RunStats, Config{Streams: streams, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +204,7 @@ func TestFromBundleDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Run(Config{Streams: streams, Workers: 3})
+		res, err := recorded(RunStats, Config{Streams: streams, Workers: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,12 +234,12 @@ func TestFromBundleDeterministic(t *testing.T) {
 }
 
 func TestFleetErrors(t *testing.T) {
-	if _, err := Run(Config{}); err == nil {
+	if _, err := recorded(RunStats, Config{}); err == nil {
 		t.Fatal("empty fleet must be rejected")
 	}
 	streams := mixedStreams(t, 3, 2, 1)
 	streams[1].Cycles = 0 // per-stream configuration error
-	res, err := Run(Config{Streams: streams, Workers: 2})
+	res, err := recorded(RunStats, Config{Streams: streams, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,15 +277,12 @@ func TestDeriveSeed(t *testing.T) {
 // TestRunStatsEqualsRetainedAggregation is the zero-retention engine's
 // acceptance property: a fleet run through RunStats (StatsSink per
 // stream, no records anywhere) must produce exactly the FleetSummary
-// that the retained Run yields through AggregateTraces on the same
-// seeds — and its scalar traces must match the retained ones field for
-// field.
+// that AggregateTraces yields over the serial runner's retained traces
+// on the same seeds — and its scalar traces must match the retained
+// ones field for field.
 func TestRunStatsEqualsRetainedAggregation(t *testing.T) {
-	retained, err := Run(Config{Streams: mixedStreams(t, 9, 4, 23), Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	streamed, err := RunStats(Config{Streams: mixedStreams(t, 9, 4, 23), Workers: 3})
+	streams := mixedStreams(t, 9, 4, 23)
+	streamed, err := RunStats(Config{Streams: streams, Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +290,7 @@ func TestRunStatsEqualsRetainedAggregation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var traces []*sim.Trace
+	var retained, traces []*sim.Trace
 	var stats []*sim.StatsSink
 	for k, s := range streamed.Streams {
 		if len(s.Trace.Records) != 0 {
@@ -267,36 +299,49 @@ func TestRunStatsEqualsRetainedAggregation(t *testing.T) {
 		if s.Stats == nil {
 			t.Fatalf("stream %d carries no stats", k)
 		}
-		scalar := *retained.Streams[k].Trace
+		serial, err := streams[k].Runner.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		scalar := *serial
 		scalar.Records = nil
 		if !reflect.DeepEqual(*s.Trace, scalar) {
-			t.Fatalf("stream %d: scalar trace diverges between RunStats and Run", k)
+			t.Fatalf("stream %d: scalar trace diverges between RunStats and the serial runner", k)
 		}
+		retained = append(retained, serial)
 		traces = append(traces, s.Trace)
 		stats = append(stats, s.Stats)
 	}
 
 	got := metrics.AggregateStats(traces, stats)
-	want := metrics.AggregateTraces(okTraces(retained))
+	want := metrics.AggregateTraces(retained)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("streamed fleet summary diverges from retained aggregation:\n got %+v\nwant %+v", got, want)
 	}
 }
 
-// TestRunRejectsPresetSink: Run's contract is retained traces, so a
-// stream arriving with a caller-set sink must fail per-stream instead
-// of silently dropping either the sink or the records.
+// TestRunRejectsPresetSink: the engine owns each stream's sink. A
+// caller-set Runner.Sink is replaced by the stream's StatsSink, so it
+// observes no record, and the result equals the sink-free run's.
 func TestRunRejectsPresetSink(t *testing.T) {
+	preset := &sim.TraceSink{}
 	streams := mixedStreams(t, 2, 2, 31)
-	streams[1].Runner.Sink = &sim.TraceSink{}
-	res, err := Run(Config{Streams: streams, Workers: 1})
+	streams[1].Runner.Sink = preset
+	res, err := recorded(RunStats, Config{Streams: streams, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Streams[0].Err != nil {
-		t.Fatal("sink-free stream must still run")
+	want, err := recorded(RunStats, Config{Streams: mixedStreams(t, 2, 2, 31), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res.Streams[1].Err == nil {
-		t.Fatal("stream with a pre-set sink must be rejected by Run")
+	if err := res.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if len(preset.Records) != 0 {
+		t.Fatalf("caller-set sink observed %d records; the engine must replace it", len(preset.Records))
+	}
+	if !reflect.DeepEqual(res.Streams, want.Streams) {
+		t.Fatal("a caller-set sink changed the run's result")
 	}
 }

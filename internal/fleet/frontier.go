@@ -22,10 +22,10 @@ import (
 // Arrival and admission instants never enter sim.Stream.Step, so
 // execution does not have to be sequenced with admission at all; the
 // frontier only needs each admitted stream's Final before it can retire
-// the stream's departure. The serial spec (openRunSerial) obtains the
-// Final by running each admitted stream to completion on the spot. The
-// frontier instead tracks, for every in-flight stream, a provable lower
-// bound on its departure:
+// the stream's departure. The serial spec (OpenRunStatsSerial) obtains
+// the Final by running each admitted stream to completion on the spot.
+// The frontier instead tracks, for every in-flight stream, a provable
+// lower bound on its departure:
 //
 //	bound(k) = admitted(k) + (Cycles−1)·period        (streaming mode)
 //
@@ -162,7 +162,6 @@ type openExec interface {
 type openFrontier struct {
 	streams   []Stream
 	sc        *OpenScratch
-	stats     bool
 	n         int
 	maxLevels int
 	adm       Admitter
@@ -224,14 +223,13 @@ func (f *openFrontier) attachExec(n, workers, batch int) {
 // Streams that will fail at bind weigh nothing (they depart the instant
 // they are admitted) and carry no bound: their service time is exactly
 // zero and known at admission. The condition is precisely bind's
-// failure condition — sim.Runner.Validate plus the retain-mode
-// rejection of a caller-set sink. For bindable non-work-conserving
-// streams, each cycle idles to its arrival base, so the final clock is
-// at least the last cycle's base. A clamped product guards pathological
-// Cycles × period overflow — the bound only ever errs conservative
-// (0 = resolve before every later event).
-func streamWeight(r *sim.Runner, stats bool) (util float64, minFin core.Time) {
-	if r.Validate() != nil || (!stats && r.Sink != nil) {
+// failure condition, sim.Runner.Validate. For bindable
+// non-work-conserving streams, each cycle idles to its arrival base, so
+// the final clock is at least the last cycle's base. A clamped product
+// guards pathological Cycles × period overflow — the bound only ever
+// errs conservative (0 = resolve before every later event).
+func streamWeight(r *sim.Runner) (util float64, minFin core.Time) {
+	if r.Validate() != nil {
 		return 0, 0
 	}
 	if u := multitask.Utilization(r.Sys, r.Sys.QMin(), r.ResolvedPeriod()); !math.IsInf(u, 1) {
@@ -247,7 +245,7 @@ func streamWeight(r *sim.Runner, stats bool) (util float64, minFin core.Time) {
 
 // validateOpen is the configuration gate shared by the engine (open
 // and closed runs alike) and the serial spec.
-func validateOpen(cfg *OpenConfig, stats bool) error {
+func validateOpen(cfg *OpenConfig) error {
 	n := len(cfg.Streams)
 	if n == 0 {
 		return errNoStreams
@@ -259,9 +257,6 @@ func validateOpen(cfg *OpenConfig, stats bool) error {
 		if t < 0 || t.IsInf() {
 			return arrivalInstantError(k, t)
 		}
-	}
-	if !stats && cfg.Export != nil {
-		return errExportNeedsStats
 	}
 	return nil
 }
@@ -522,14 +517,8 @@ func (f *openFrontier) finish(slot int32) {
 	a := f.arena
 	k := a.slotStream[slot]
 	sr := &f.res.Streams[k]
-	var sinkOut *sim.StatsSink
-	var histOut []int
-	if f.stats {
-		sinkOut = &f.sc.stats[k]
-		base := int(k) * f.maxLevels
-		histOut = f.sc.hist[base : base+f.maxLevels]
-	}
-	a.slotTbl[slot].harvestSlot(int(a.slotIdx[slot]), sr, &f.sc.traces[k], sinkOut, histOut)
+	base := int(k) * f.maxLevels
+	a.slotTbl[slot].harvestSlot(int(a.slotIdx[slot]), sr, &f.sc.traces[k], &f.sc.stats[k], f.sc.hist[base:base+f.maxLevels])
 	a.release(slot)
 	lc := &f.res.Lifecycles[k]
 	d := lc.Admitted

@@ -53,8 +53,8 @@ type OpenLiveConfig struct {
 // stream) feeds it: Feed appends one arrival and advances the event
 // loop through every instant the fed prefix fully determines; Close
 // drains the system and seals the result. The batch entry points
-// (OpenRun, OpenRunStats, OpenRunStatsCheckpointed, Run and RunStats)
-// load their whole population into one and run it to Close. For one and
+// (OpenRunStats, OpenRunStatsCheckpointed and RunStats) load their
+// whole population into one and run it to Close. For one and
 // the same (streams, arrivals, admitter) sequence, a fed run seals a
 // result byte-identical to OpenRunStats over the batch configuration —
 // the fed order simply is the spec's (instant, index) order, and the
@@ -73,17 +73,16 @@ type OpenLive struct {
 // NewOpenLive starts an empty incremental run with a running (idle)
 // executor pool.
 func NewOpenLive(cfg OpenLiveConfig) *OpenLive {
-	return newOpenLive(cfg, true, nil, 0)
+	return newOpenLive(cfg, nil, 0)
 }
 
 // newOpenLive starts an empty run on the scratch-resident frontier — the
 // one place a frontier is built. loadOpen passes what OpenLiveConfig
-// does not carry: stats false selects the retaining path, export is
-// OpenConfig.Export, and n is the population about to be loaded, which
-// sizes the arena's indirection arrays once and caps the pool. A live
-// run passes n = 0: its arrays grow as it is fed, and its pool is
-// uncapped.
-func newOpenLive(cfg OpenLiveConfig, stats bool, export func(int, string) sim.Sink, n int) *OpenLive {
+// does not carry: export is OpenConfig.Export, and n is the population
+// about to be loaded, which sizes the arena's indirection arrays once
+// and caps the pool. A live run passes n = 0: its arrays grow as it is
+// fed, and its pool is uncapped.
+func newOpenLive(cfg OpenLiveConfig, export func(int, string) sim.Sink, n int) *OpenLive {
 	sc := cfg.Scratch
 	if sc == nil {
 		sc = NewOpenScratch()
@@ -98,11 +97,11 @@ func newOpenLive(cfg OpenLiveConfig, stats bool, export func(int, string) sim.Si
 	// The frontier's slabs restart empty but keep their backing arrays:
 	// on a warm scratch every appendStream is a capacity-reusing append.
 	f := &sc.frontier
-	*f = openFrontier{sc: sc, stats: stats, maxLevels: cfg.MaxLevels, adm: adm, look: look,
+	*f = openFrontier{sc: sc, maxLevels: cfg.MaxLevels, adm: adm, look: look,
 		arena: &sc.arena, res: &sc.res, met: cfg.Obs, tr: cfg.Trace,
 		streams: f.streams[:0], arr: f.arr[:0], order: f.order[:0], util: f.util[:0],
 		minFin: f.minFin[:0], final: f.final[:0], dep: f.dep[:0], pend: f.pend[:0], backlog: f.backlog}
-	sc.arena.reset(n, stats, export, cfg.MaxLevels)
+	sc.arena.reset(n, export, cfg.MaxLevels)
 	sc.lifecycles, sc.streams = sc.lifecycles[:0], sc.streams[:0]
 	sc.traces, sc.stats, sc.hist = sc.traces[:0], sc.stats[:0], sc.hist[:0]
 	sc.res = OpenResult{}
@@ -123,21 +122,19 @@ func newOpenLive(cfg OpenLiveConfig, stats bool, export func(int, string) sim.Si
 // stream in input order, then the spec's stable (instant, index) sort
 // when the arrival slab is unsorted. Arrival processes emit
 // non-decreasing instants, so the sort is the exception.
-func loadOpen(cfg *OpenConfig, stats bool) (*OpenLive, error) {
-	if err := validateOpen(cfg, stats); err != nil {
+func loadOpen(cfg *OpenConfig) (*OpenLive, error) {
+	if err := validateOpen(cfg); err != nil {
 		return nil, err
 	}
 	maxLevels := 0
-	if stats {
-		for k := range cfg.Streams {
-			if sys := cfg.Streams[k].Runner.Sys; sys != nil {
-				maxLevels = max(maxLevels, sys.NumLevels())
-			}
+	for k := range cfg.Streams {
+		if sys := cfg.Streams[k].Runner.Sys; sys != nil {
+			maxLevels = max(maxLevels, sys.NumLevels())
 		}
 	}
 	ol := newOpenLive(OpenLiveConfig{Admit: cfg.Admit, Workers: cfg.Workers, BatchCycles: cfg.BatchCycles,
 		Lookahead: cfg.Lookahead, MaxLevels: maxLevels, Obs: cfg.Obs, Trace: cfg.Trace, Scratch: cfg.Scratch},
-		stats, cfg.Export, len(cfg.Streams))
+		cfg.Export, len(cfg.Streams))
 	for k := range cfg.Streams {
 		ol.appendStream(cfg.Streams[k], cfg.Arrivals[k])
 	}
@@ -192,7 +189,7 @@ func (ol *OpenLive) appendStream(s Stream, t core.Time) {
 	k := f.n
 	f.streams = append(f.streams, s)
 	f.arr = append(f.arr, t)
-	u, mf := streamWeight(&f.streams[k].Runner, f.stats)
+	u, mf := streamWeight(&f.streams[k].Runner)
 	f.order = append(f.order, int32(k))
 	f.util = append(f.util, u)
 	f.minFin = append(f.minFin, mf)

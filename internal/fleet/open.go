@@ -46,8 +46,12 @@ type OpenConfig struct {
 	// byte-identical at any (workers, batch, lookahead). The serial
 	// spec ignores it.
 	Lookahead int
-	// Export is Config.Export for the stats path: an extra per-stream
-	// sink keyed by the stream's index in Streams.
+	// Export, when non-nil, supplies an extra per-stream sink, keyed by
+	// the stream's index in Streams, that each executed stream's records
+	// are teed into alongside its StatsSink; returning nil skips the
+	// stream. It is how a caller observes records: the engine keeps
+	// none, so one sim.TraceSink per stream collects what a serial
+	// sim.Runner would have retained.
 	Export func(k int, name string) sim.Sink
 	// Scratch, when non-nil, amortizes the continuous engine's working
 	// memory across runs: slot-arena chunks, frontier heaps and result
@@ -116,13 +120,6 @@ func (r *OpenResult) Err() error {
 // own event processing.
 const DefaultLookahead = 16
 
-// OpenRun executes the open system on the engine with full traces
-// retained per executed stream. See OpenRunStats for the zero-retention
-// form.
-func OpenRun(cfg OpenConfig) (*OpenResult, error) {
-	return openRun(&cfg, false)
-}
-
 // OpenRunStats executes the open system on the engine with one
 // StatsSink per executed stream — the zero-retention shape: slot memory
 // is bounded by the peak concurrency, not the population, and the
@@ -134,34 +131,18 @@ func OpenRun(cfg OpenConfig) (*OpenResult, error) {
 // streams in the background — no pool start/join per event, no barrier
 // on stragglers. Traces, lifecycles and admission decisions are
 // byte-identical to OpenRunStatsSerial at any (workers, batch),
-// property-tested under -race.
+// property-tested under -race. OpenRunStats loads the population into
+// an OpenLive and runs it to Close.
 func OpenRunStats(cfg OpenConfig) (*OpenResult, error) {
-	return openRun(&cfg, true)
-}
-
-// openRun loads the population into an OpenLive and runs it to Close:
-// the driver of OpenRun, OpenRunStats and the closed Run/RunStats.
-func openRun(cfg *OpenConfig, stats bool) (*OpenResult, error) {
-	ol, err := loadOpen(cfg, stats)
+	ol, err := loadOpen(&cfg)
 	if err != nil {
 		return nil, err
 	}
 	return ol.Close()
 }
 
-// OpenRunStatsSerial is the executable specification the engine is
-// property-tested against (openRunSerial) through the zero-retention
-// stats path: results are byte-identical to OpenRunStats; only
-// wall-clock behaviour differs.
-func OpenRunStatsSerial(cfg OpenConfig) (*OpenResult, error) {
-	return openRunSerial(cfg, true)
-}
-
-// The shared configuration-rejection values of both engines.
-var (
-	errNoStreams        = errors.New("fleet: no streams")
-	errExportNeedsStats = errors.New("fleet: Export needs the streaming path; use OpenRunStats")
-)
+// errNoStreams is the shared empty-population rejection of both engines.
+var errNoStreams = errors.New("fleet: no streams")
 
 func arrivalCountError(streams, instants int) error {
 	return fmt.Errorf("fleet: %d streams but %d arrival instants", streams, instants)
@@ -190,14 +171,15 @@ func (h depHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *depHeap) Push(x any)   { *h = append(*h, x.(departure)) }
 func (h *depHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
 
-// openRunSerial is the executable specification the engine is
+// OpenRunStatsSerial is the executable specification the engine is
 // property-tested against: a plain virtual-time event loop on the
 // calling goroutine that starts no goroutine and shares no slot arena
 // or executor with the engine. It is serial and deterministic by
 // construction — every admission decision is a pure function of
 // simulated instants — and it runs each admitted stream to completion
 // on the spot (runSerial), which fixes the stream's departure instant
-// before the loop moves on. stats false is the spec for OpenRun.
+// before the loop moves on. Results are byte-identical to OpenRunStats;
+// only wall-clock behaviour differs.
 //
 // Event ordering: at one instant, departures are retired first (ties by
 // stream index), the freed capacity is offered to the FIFO backlog, and
@@ -205,8 +187,8 @@ func (h *depHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = 
 // behind streams already waiting. A stream still queued when the system
 // drains can never be admitted (nothing will free more capacity), so it
 // is shed then.
-func openRunSerial(cfg OpenConfig, stats bool) (*OpenResult, error) {
-	if err := validateOpen(&cfg, stats); err != nil {
+func OpenRunStatsSerial(cfg OpenConfig) (*OpenResult, error) {
+	if err := validateOpen(&cfg); err != nil {
 		return nil, err
 	}
 	n := len(cfg.Streams)
@@ -216,15 +198,14 @@ func openRunSerial(cfg OpenConfig, stats bool) (*OpenResult, error) {
 	}
 
 	// Per-stream guaranteed CPU demand for budget policies: the qmin
-	// worst case over the resolved period. Streams that fail to start —
-	// sim.Runner.Validate or the retain-mode rejection of a caller-set
-	// sink — weigh nothing: they depart the instant they are admitted
-	// without executing, so they must not consume budget that
+	// worst case over the resolved period. Streams that fail
+	// sim.Runner.Validate weigh nothing: they depart the instant they are
+	// admitted without executing, so they must not consume budget that
 	// same-instant arrivals are decided against.
 	util := make([]float64, n)
 	for k := range cfg.Streams {
 		r := &cfg.Streams[k].Runner
-		if r.Validate() != nil || (!stats && r.Sink != nil) {
+		if r.Validate() != nil {
 			continue
 		}
 		if u := multitask.Utilization(r.Sys, r.Sys.QMin(), r.ResolvedPeriod()); !math.IsInf(u, 1) {
@@ -263,7 +244,7 @@ func openRunSerial(cfg OpenConfig, stats bool) (*OpenResult, error) {
 	admit := func(k int, t core.Time) {
 		inServe++
 		cpuLoad += util[k]
-		sr := runSerial(&cfg.Streams[k], k, stats, cfg.Export)
+		sr := runSerial(&cfg.Streams[k], k, cfg.Export)
 		res.Streams[k] = sr
 		lc := &res.Lifecycles[k]
 		lc.Admitted = t
@@ -355,31 +336,25 @@ func openRunSerial(cfg OpenConfig, stats bool) (*OpenResult, error) {
 }
 
 // runSerial runs a copy of stream k's Runner to completion on the
-// calling goroutine and returns its result in the engine's shape: in
-// stats mode a fresh StatsSink (teed into Export(k, name) when that
-// returns a sink) with an empty histogram read as nil; in retain mode a
-// caller-set sink fails with errPresetSink.
-func runSerial(s *Stream, k int, stats bool, export func(k int, name string) sim.Sink) StreamResult {
+// calling goroutine and returns its result in the engine's shape: a
+// fresh StatsSink, teed into Export(k, name) when that returns a sink,
+// replaces any caller-set sink, and an empty histogram reads as nil.
+func runSerial(s *Stream, k int, export func(k int, name string) sim.Sink) StreamResult {
 	sr := StreamResult{Name: s.Name}
 	r := s.Runner
-	if stats {
-		levels := 0
-		if r.Sys != nil {
-			levels = r.Sys.NumLevels()
+	levels := 0
+	if r.Sys != nil {
+		levels = r.Sys.NumLevels()
+	}
+	sr.Stats = sim.NewStatsSink(levels)
+	r.Sink = sr.Stats
+	if export != nil {
+		if extra := export(k, s.Name); extra != nil {
+			r.Sink = sim.TeeSink{sr.Stats, extra}
 		}
-		sr.Stats = sim.NewStatsSink(levels)
-		r.Sink = sr.Stats
-		if export != nil {
-			if extra := export(k, s.Name); extra != nil {
-				r.Sink = sim.TeeSink{sr.Stats, extra}
-			}
-		}
-	} else if r.Sink != nil {
-		sr.Err = errPresetSink
-		return sr
 	}
 	sr.Trace, sr.Err = r.Run()
-	if sr.Stats != nil && len(sr.Stats.QualityHist) == 0 {
+	if len(sr.Stats.QualityHist) == 0 {
 		sr.Stats.QualityHist = nil
 	}
 	return sr

@@ -93,9 +93,9 @@ func TestOpenContinuousMatchesSerialSpec(t *testing.T) {
 	}
 }
 
-// TestOpenRetainedContinuousMatchesSerial covers the full-retention
-// path: record-for-record identical traces between the serial spec and
-// the continuous engine.
+// TestOpenRetainedContinuousMatchesSerial covers the records: the
+// continuous engine exports record-for-record the same traces as the
+// serial spec.
 func TestOpenRetainedContinuousMatchesSerial(t *testing.T) {
 	streams := skewedStreams(t, 18, 31)
 	times, err := arrivals.Bursty{GapOn: 5 * core.Millisecond, MeanOn: 20 * core.Millisecond,
@@ -104,26 +104,28 @@ func TestOpenRetainedContinuousMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	adm := CapK{K: 3, Queue: -1}
-	ref, err := openRunSerial(OpenConfig{Streams: streams, Arrivals: times, Admit: adm, Workers: 2}, false)
+	ref, err := recorded(OpenRunStatsSerial, OpenConfig{Streams: streams, Arrivals: times, Admit: adm, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 4} {
-		got, err := OpenRun(OpenConfig{Streams: streams, Arrivals: times, Admit: adm, Workers: workers})
+		got, err := recorded(OpenRunStats, OpenConfig{Streams: streams, Arrivals: times, Admit: adm, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		compareOpen(t, "retained", ref, got)
+		compareOpen(t, "recorded", ref, got)
 	}
 }
 
 // TestOpenScratchReuseAcrossConfigs reuses one scratch across runs of
-// different shapes — population size, retention mode, policy, worker
-// count — and checks each against a scratch-free run: nothing from an
-// earlier run may leak into a later one.
+// different shapes — population size, slab shape (hetStreams have 4
+// quality levels, mixedStreams 6, so the arena drops its chunks),
+// policy, worker count — and checks each against a scratch-free run:
+// nothing from an earlier run may leak into a later one.
 func TestOpenScratchReuseAcrossConfigs(t *testing.T) {
 	big := skewedStreams(t, 24, 41)
 	small := mixedStreams(t, 5, 2, 43)
+	het := hetStreams(t, 5, 43)
 	u := multitask.Utilization(big[0].Runner.Sys, big[0].Runner.Sys.QMin(), big[0].Runner.Period)
 	poisson, err := arrivals.Poisson{MeanGap: 10 * core.Millisecond, Seed: 23}.Times(len(big))
 	if err != nil {
@@ -134,28 +136,23 @@ func TestOpenScratchReuseAcrossConfigs(t *testing.T) {
 		t.Fatal(err)
 	}
 	cases := []struct {
-		name  string
-		cfg   OpenConfig
-		stats bool
+		name string
+		cfg  OpenConfig
 	}{
-		{"big-stats-cap", OpenConfig{Streams: big, Arrivals: poisson, Admit: CapK{K: 2, Queue: 1}, Workers: 2}, true},
-		{"small-retain-all", OpenConfig{Streams: small, Arrivals: together, Workers: 4}, false},
-		{"big-stats-budget", OpenConfig{Streams: big, Arrivals: poisson, Admit: Budget{CPU: 2 * u, Queue: -1}, Workers: 1}, true},
-		{"small-stats-all", OpenConfig{Streams: small, Arrivals: together, Workers: 1}, true},
+		{"big-stats-cap", OpenConfig{Streams: big, Arrivals: poisson, Admit: CapK{K: 2, Queue: 1}, Workers: 2}},
+		{"small-het-all", OpenConfig{Streams: het, Arrivals: together, Workers: 4}},
+		{"big-stats-budget", OpenConfig{Streams: big, Arrivals: poisson, Admit: Budget{CPU: 2 * u, Queue: -1}, Workers: 1}},
+		{"small-stats-all", OpenConfig{Streams: small, Arrivals: together, Workers: 1}},
 	}
 	scratch := NewOpenScratch()
 	for _, tc := range cases {
-		run := OpenRun
-		if tc.stats {
-			run = OpenRunStats
-		}
-		want, err := run(tc.cfg)
+		want, err := OpenRunStats(tc.cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		cfg := tc.cfg
 		cfg.Scratch = scratch
-		got, err := run(cfg)
+		got, err := OpenRunStats(cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}

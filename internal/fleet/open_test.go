@@ -33,7 +33,7 @@ func TestOpenClosedEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, shape := range []struct{ workers, batch int }{{1, 0}, {2, 1}, {4, 32}, {8, 3}} {
-		open, err := OpenRun(OpenConfig{
+		open, err := recorded(OpenRunStats, OpenConfig{
 			Streams:     streams,
 			Arrivals:    times,
 			Workers:     shape.workers,
@@ -299,29 +299,6 @@ func TestOpenBadStreamHoldsNoBudget(t *testing.T) {
 	if res.Streams[1].Err != nil || res.Streams[1].Stats == nil {
 		t.Fatal("valid stream did not run")
 	}
-
-	// Same invariant for the other bind-time failure: in retain mode a
-	// caller-set Runner.Sink is rejected at bind, so it must not hold
-	// budget either.
-	streams = mixedStreams(t, 2, 2, 51)
-	streams[0].Runner.Sink = new(sim.TraceSink)
-	res, err = OpenRun(OpenConfig{
-		Streams:  streams,
-		Arrivals: []core.Time{0, 0},
-		Admit:    Budget{CPU: u, Queue: 0},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Lifecycles[1].Shed {
-		t.Fatal("valid stream shed because a bind-failing (Runner.Sink) stream held budget")
-	}
-	if res.Streams[0].Err == nil || !res.Lifecycles[0].Failed {
-		t.Fatalf("sink-bearing stream not rejected at bind: %+v", res.Lifecycles[0])
-	}
-	if res.Streams[1].Err != nil || res.Streams[1].Trace == nil {
-		t.Fatal("valid stream did not run")
-	}
 }
 
 // TestOpenConfigValidation: friendly errors for malformed configs.
@@ -336,48 +313,6 @@ func TestOpenConfigValidation(t *testing.T) {
 	for i, cfg := range cases {
 		if _, err := OpenRunStats(cfg); err == nil {
 			t.Fatalf("case %d: invalid config accepted", i)
-		}
-	}
-	// Export is a streaming-path feature; the retained form rejects it
-	// just as the closed Run does.
-	if _, err := OpenRun(OpenConfig{
-		Streams:  streams,
-		Arrivals: []core.Time{0, 0},
-		Export:   func(int, string) sim.Sink { return nil },
-	}); err == nil {
-		t.Fatal("OpenRun accepted an Export sink")
-	}
-}
-
-// TestOpenRetainedMatchesStats: the retained and zero-retention open
-// paths agree on every scalar and lifecycle.
-func TestOpenRetainedMatchesStats(t *testing.T) {
-	streams := mixedStreams(t, 6, 3, 13)
-	times, err := arrivals.Poisson{MeanGap: 10 * core.Millisecond, Seed: 3}.Times(len(streams))
-	if err != nil {
-		t.Fatal(err)
-	}
-	adm := CapK{K: 2, Queue: -1}
-	retained, err := OpenRun(OpenConfig{Streams: streams, Arrivals: times, Admit: adm, Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats, err := OpenRunStats(OpenConfig{Streams: streams, Arrivals: times, Admit: adm, Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(retained.OpenObservations, stats.OpenObservations) {
-		t.Fatal("retained and stats lifecycles diverged")
-	}
-	for k := range streams {
-		rt, st := retained.Streams[k].Trace, stats.Streams[k].Trace
-		if rt == nil || st == nil {
-			t.Fatalf("stream %d missing trace", k)
-		}
-		rs := *rt
-		rs.Records = nil
-		if !reflect.DeepEqual(&rs, st) {
-			t.Fatalf("stream %d scalar traces diverged", k)
 		}
 	}
 }

@@ -51,7 +51,7 @@ func TestQuickFleetInvariantAcrossWorkersAndBatches(t *testing.T) {
 		workers := int(wRaw%9) + 1
 		batch := []int{1, 2, 3, 7, 32, 1 << 20}[int(bRaw)%6]
 		streams := hetStreams(t, n, uint64(seed))
-		res, err := Run(Config{Streams: streams, Workers: workers, BatchCycles: batch})
+		res, err := recorded(RunStats, Config{Streams: streams, Workers: workers, BatchCycles: batch})
 		if err != nil {
 			t.Log(err)
 			return false
@@ -116,7 +116,7 @@ func TestStreamTableSoALayout(t *testing.T) {
 	streams := hetStreams(t, n, 3)
 	levels := streams[0].Runner.Sys.NumLevels()
 	var a openArena
-	a.reset(n, true, nil, levels)
+	a.reset(n, nil, levels)
 	slots := make([]int32, n)
 	for k := range streams {
 		slots[k] = a.bind(&streams[k], k)
@@ -154,17 +154,6 @@ func TestStreamTableSoALayout(t *testing.T) {
 		if want := c.sinks[i].Records; total != want || want == 0 {
 			t.Fatalf("slot %d: slab histogram holds %d records, sink says %d", i, total, want)
 		}
-	}
-}
-
-// TestRunRejectsExport: Run retains full traces; pairing it with a
-// streaming export hook is a configuration contradiction that must be
-// loud, not silent.
-func TestRunRejectsExport(t *testing.T) {
-	streams := hetStreams(t, 2, 1)
-	_, err := Run(Config{Streams: streams, Export: func(int, string) sim.Sink { return nil }})
-	if err == nil {
-		t.Fatal("Run must reject Config.Export")
 	}
 }
 

@@ -1,26 +1,18 @@
 package fleet
 
 import (
-	"errors"
 	"sync/atomic"
 
 	"repro/internal/sim"
 )
 
-// errPresetSink rejects a stream that arrives with a caller-set
-// Runner.Sink on the retaining path: the contract there is retained
-// traces, and a sink would leave Trace.Records empty so downstream
-// aggregation would silently read zeroes. It is a per-stream error,
-// shared by the engine and the serial spec.
-var errPresetSink = errors.New("fleet: stream has a Runner.Sink; Run retains traces — use RunStats for sink-based runs")
-
 // streamChunk is one fixed-size block of the slot arena's
 // struct-of-arrays stream store: the mutable per-slot simulation state
 // — clocks and cycle counters (sim.State), trace aggregates
-// (sim.Trace), and in stats mode the StatsSink accumulators and their
-// histograms — lives in contiguous slabs, one entry per slot, instead
-// of individually heap-allocated objects. A worker sweeping its range
-// of slots therefore walks arrays in index order and stays in cache;
+// (sim.Trace), and the StatsSink accumulators and their histograms —
+// lives in contiguous slabs, one entry per slot, instead of
+// individually heap-allocated objects. A worker sweeping its range of
+// slots therefore walks arrays in index order and stays in cache;
 // the sim.Stream views are exactly the serial runner's streams, pointed
 // at the slabs, so the layout changes memory behaviour, never results.
 type streamChunk struct {
@@ -28,64 +20,55 @@ type streamChunk struct {
 	runners []sim.Runner    // per-slot runner configs (copies; sinks rewritten)
 	streams []sim.Stream    // views over the slabs below; invalid where errs[i] != nil
 	states  []sim.State     // hot scalars: clock + cycle counter
-	traces  []sim.Trace     // scalar aggregates (and records in retain mode)
-	sinks   []sim.StatsSink // stats mode only; nil in retain mode
+	traces  []sim.Trace     // scalar aggregates
+	sinks   []sim.StatsSink // each slot's own sink
 	hist    []int           // backing slab of the sink histograms, maxLevels cells per slot
 	errs    []error         // per-slot configuration errors
 
 	maxLevels int // uniform per-slot histogram window width
 }
 
-// bindSlot initialises slot i for the stream: in stats mode the slot's
-// StatsSink gets its histogram window of the shared slab (plus any
-// export tee, keyed by the stream's index k in the population); in
-// retain mode a caller-set sink is a per-slot error. Configuration
-// errors are recorded in the slot, not returned — the stream still
-// occupies it until harvested, so one bad stream cannot derail the run.
-// The slot must not be bound or mid-execution. It never allocates on
-// the stats path without an export sink, which is what keeps the
-// engine's steady state allocation-free.
+// bindSlot initialises slot i for the stream: the slot's StatsSink gets
+// its histogram window of the shared slab and replaces any caller-set
+// sink, teed with the export sink when one is given (keyed by the
+// stream's index k in the population). Configuration errors are
+// recorded in the slot, not returned — the stream still occupies it
+// until harvested, so one bad stream cannot derail the run. The slot
+// must not be bound or mid-execution. It never allocates without an
+// export sink, which is what keeps the engine's steady state
+// allocation-free.
 func (c *streamChunk) bindSlot(i int, s *Stream, k int, export func(k int, name string) sim.Sink) {
 	c.names[i] = s.Name
 	c.runners[i] = s.Runner
 	r := &c.runners[i]
-	if c.sinks != nil {
-		base := i * c.maxLevels
-		c.sinks[i].Init(c.hist[base : base : base+c.maxLevels])
-		var sink sim.Sink = &c.sinks[i]
-		if export != nil {
-			if extra := export(k, s.Name); extra != nil {
-				sink = sim.TeeSink{&c.sinks[i], extra}
-			}
+	base := i * c.maxLevels
+	c.sinks[i].Init(c.hist[base : base : base+c.maxLevels])
+	r.Sink = &c.sinks[i]
+	if export != nil {
+		if extra := export(k, s.Name); extra != nil {
+			r.Sink = sim.TeeSink{&c.sinks[i], extra}
 		}
-		r.Sink = sink
-	} else if r.Sink != nil {
-		c.errs[i] = errPresetSink
-		return
 	}
 	c.errs[i] = r.InitStream(&c.streams[i], &c.states[i], &c.traces[i])
 }
 
 // harvestSlot copies slot i's outcome into caller-owned result cells —
-// trOut for the scalar trace, and in stats mode sinkOut plus a
-// histogram window histOut of at least the chunk's level width — so the
-// result aliases nothing in the slabs and the harvest allocates
-// nothing. An empty histogram reads as nil. Free-slot bookkeeping is
-// the arena's.
+// trOut for the scalar trace, sinkOut for the sink and a histogram
+// window histOut of at least the chunk's level width — so the result
+// aliases nothing in the slabs and the harvest allocates nothing. An
+// empty histogram reads as nil. Free-slot bookkeeping is the arena's.
 func (c *streamChunk) harvestSlot(i int, sr *StreamResult, trOut *sim.Trace, sinkOut *sim.StatsSink, histOut []int) {
 	sr.Name = c.names[i]
 	sr.Err = c.errs[i]
-	if c.sinks != nil {
-		*sinkOut = c.sinks[i]
-		if h := sinkOut.QualityHist; len(h) == 0 {
-			sinkOut.QualityHist = nil
-		} else {
-			w := histOut[:len(h)]
-			copy(w, h)
-			sinkOut.QualityHist = w
-		}
-		sr.Stats = sinkOut
+	*sinkOut = c.sinks[i]
+	if h := sinkOut.QualityHist; len(h) == 0 {
+		sinkOut.QualityHist = nil
+	} else {
+		w := histOut[:len(h)]
+		copy(w, h)
+		sinkOut.QualityHist = w
 	}
+	sr.Stats = sinkOut
 	if sr.Err == nil {
 		*trOut = c.traces[i]
 		sr.Trace = trOut
@@ -146,7 +129,6 @@ type slotWord struct {
 // an atomic add) whose status they hold claimed, so every slab access
 // is ordered by the status word or the allocated counter.
 type openArena struct {
-	stats     bool
 	export    func(k int, name string) sim.Sink
 	maxLevels int
 
@@ -169,15 +151,14 @@ type openArena struct {
 const openChunkMin = 8
 
 // reset prepares the arena for a run over a population of n streams.
-// Chunks from an earlier run with the same slab shape (stats mode and
-// histogram width) are kept and their slots recycled; a shape change
-// drops them. The export hook is the arena's, not a chunk's, so a
+// Chunks from an earlier run with the same slab shape (histogram width)
+// are kept and their slots recycled; a shape change drops them. The export hook is the arena's, not a chunk's, so a
 // retained chunk can never tee records into a previous run's sinks.
-func (a *openArena) reset(n int, stats bool, export func(int, string) sim.Sink, maxLevels int) {
-	if stats != a.stats || maxLevels != a.maxLevels {
+func (a *openArena) reset(n int, export func(int, string) sim.Sink, maxLevels int) {
+	if maxLevels != a.maxLevels {
 		a.chunks = nil
 	}
-	a.stats, a.export, a.maxLevels = stats, export, maxLevels
+	a.export, a.maxLevels = export, maxLevels
 	total := 0
 	for _, c := range a.chunks {
 		total += len(c.streams)
@@ -275,12 +256,10 @@ func (a *openArena) grow() {
 		streams:   make([]sim.Stream, size),
 		states:    make([]sim.State, size),
 		traces:    make([]sim.Trace, size),
+		sinks:     make([]sim.StatsSink, size),
+		hist:      make([]int, size*a.maxLevels),
 		errs:      make([]error, size),
 		maxLevels: a.maxLevels,
-	}
-	if a.stats {
-		c.sinks = make([]sim.StatsSink, size)
-		c.hist = make([]int, size*a.maxLevels)
 	}
 	a.chunks = append(a.chunks, c)
 	for i := 0; i < size; i++ {

@@ -31,9 +31,9 @@ func WriteTraceCSV(w io.Writer, tr *sim.Trace) error {
 	return nil
 }
 
-// WriteSummaryCSV dumps a set of run summaries as one CSV table — the
+// writeSummaryCSV dumps a set of run summaries as one CSV table — the
 // §4.2 comparison table in machine-readable form.
-func WriteSummaryCSV(w io.Writer, sums []Summary) error {
+func writeSummaryCSV(w io.Writer, sums []Summary) error {
 	if _, err := fmt.Fprintln(w, "manager,cycles,decisions,misses,avg_quality,overhead_fraction,mean_relax_steps,switches,mean_abs_dq"); err != nil {
 		return err
 	}

@@ -39,7 +39,7 @@ func TestWriteSummaryCSV(t *testing.T) {
 		Smooth: Smoothness{Switches: 500, MeanAbsDelta: 0.02},
 	}}
 	var b strings.Builder
-	if err := WriteSummaryCSV(&b, sums); err != nil {
+	if err := writeSummaryCSV(&b, sums); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()

@@ -5,12 +5,12 @@ import (
 	"repro/internal/sim"
 )
 
-// StatsOfTrace replays a retained trace's records through a fresh
+// statsOfTrace replays a retained trace's records through a fresh
 // StatsSink. It bridges the two worlds: a run executed with full
 // retention can be aggregated by the same stats-based code paths as a
 // zero-retention run, and the equality of both routes is the sink
 // layer's property-tested contract.
-func StatsOfTrace(tr *sim.Trace) *sim.StatsSink {
+func statsOfTrace(tr *sim.Trace) *sim.StatsSink {
 	s := sim.NewStatsSink(0)
 	for _, r := range tr.Records {
 		s.Observe(r)
@@ -21,7 +21,7 @@ func StatsOfTrace(tr *sim.Trace) *sim.StatsSink {
 // SummarizeStats computes the run Summary from the scalar trace (clock,
 // totals, decision and miss counts — all O(1) fields the executor
 // maintains regardless of retention) and the streamed record aggregates.
-// For a trace run with retention, SummarizeStats(tr, StatsOfTrace(tr))
+// For a trace run with retention, SummarizeStats(tr, statsOfTrace(tr))
 // equals Summarize(tr) exactly.
 func SummarizeStats(tr *sim.Trace, st *sim.StatsSink) Summary {
 	s := Summary{

@@ -32,7 +32,7 @@ func statsTestTrace(t *testing.T, seed int64, cycles int) *sim.Trace {
 func TestSummarizeStatsEqualsSummarize(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		tr := statsTestTrace(t, seed, 1+int(seed%5))
-		got := SummarizeStats(tr, StatsOfTrace(tr))
+		got := SummarizeStats(tr, statsOfTrace(tr))
 		want := Summarize(tr)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: stats summary diverges:\n got %+v\nwant %+v", seed, got, want)
@@ -43,7 +43,7 @@ func TestSummarizeStatsEqualsSummarize(t *testing.T) {
 // TestSummarizeStatsEmptyTrace pins the empty-trace conventions.
 func TestSummarizeStatsEmptyTrace(t *testing.T) {
 	tr := &sim.Trace{Manager: "x", Cycles: 0}
-	got := SummarizeStats(tr, StatsOfTrace(tr))
+	got := SummarizeStats(tr, statsOfTrace(tr))
 	if !reflect.DeepEqual(got, Summarize(tr)) {
 		t.Fatalf("empty-trace summaries diverge: %+v vs %+v", got, Summarize(tr))
 	}
@@ -64,7 +64,7 @@ func TestAggregateStatsEqualsAggregateTraces(t *testing.T) {
 			}
 			tr := statsTestTrace(t, seed*100+int64(k), 2+k)
 			traces = append(traces, tr)
-			stats = append(stats, StatsOfTrace(tr))
+			stats = append(stats, statsOfTrace(tr))
 		}
 		got := AggregateStats(traces, stats)
 		want := AggregateTraces(traces)

@@ -93,15 +93,15 @@ func (r *Result) TotalMisses() int {
 	return n
 }
 
-// Group is one independent EDF-scheduled task set: the tasks share one
+// group is one independent EDF-scheduled task set: the tasks share one
 // simulated CPU with each other, but not with other groups. A fleet of
 // groups models many multi-tenant devices managed at once.
-type Group struct {
+type group struct {
 	Name  string
 	Tasks []*Task
 }
 
-// RunGroups executes independent groups concurrently on the simulation
+// runGroups executes independent groups concurrently on the simulation
 // layer's sharded worker pool (workers ≤ 0 selects GOMAXPROCS) and
 // returns each group's result keyed by group name. Every group stays a
 // serial EDF simulation, so its result is identical to calling Run on
@@ -109,7 +109,7 @@ type Group struct {
 // groups must be independent: a stateful Manager instance (e.g. the
 // baseline feedback controllers) must not be shared across groups —
 // the stateless policy and table managers are safe to share.
-func RunGroups(groups []Group, workers int) (map[string]*Result, error) {
+func runGroups(groups []group, workers int) (map[string]*Result, error) {
 	if len(groups) == 0 {
 		return nil, errors.New("multitask: no groups")
 	}

@@ -157,19 +157,19 @@ func TestEDFPrefersEarlierDeadline(t *testing.T) {
 
 func TestRunGroupsMatchesSerialRuns(t *testing.T) {
 	sys := uniformSystem(20, 100, 5000, 4)
-	mkGroup := func(name string, seedA, seedB uint64) Group {
+	mkGroup := func(name string, seedA, seedB uint64) group {
 		mk := func(tname string, seed uint64) *Task {
 			return &Task{Name: tname, Sys: sys, Mgr: core.NewNumericManager(sys),
 				Exec: sim.Uniform{Sys: sys, Seed: seed}, Cycles: 3}
 		}
-		return Group{Name: name, Tasks: []*Task{mk("a", seedA), mk("b", seedB)}}
+		return group{Name: name, Tasks: []*Task{mk("a", seedA), mk("b", seedB)}}
 	}
-	groups := []Group{mkGroup("g0", 1, 2), mkGroup("g1", 3, 4), mkGroup("g2", 5, 6)}
-	parallel, err := RunGroups(groups, 3)
+	groups := []group{mkGroup("g0", 1, 2), mkGroup("g1", 3, 4), mkGroup("g2", 5, 6)}
+	parallel, err := runGroups(groups, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, g := range []Group{mkGroup("g0", 1, 2), mkGroup("g1", 3, 4), mkGroup("g2", 5, 6)} {
+	for _, g := range []group{mkGroup("g0", 1, 2), mkGroup("g1", 3, 4), mkGroup("g2", 5, 6)} {
 		serial, err := Run(g.Tasks)
 		if err != nil {
 			t.Fatal(err)
@@ -193,22 +193,22 @@ func TestRunGroupsMatchesSerialRuns(t *testing.T) {
 }
 
 func TestRunGroupsValidation(t *testing.T) {
-	if _, err := RunGroups(nil, 2); err == nil {
+	if _, err := runGroups(nil, 2); err == nil {
 		t.Fatal("empty group list must be rejected")
 	}
 	sys := uniformSystem(5, 100, 2000, 3)
-	mk := func(name string) Group {
-		return Group{Name: name, Tasks: []*Task{{Name: "t", Sys: sys,
+	mk := func(name string) group {
+		return group{Name: name, Tasks: []*Task{{Name: "t", Sys: sys,
 			Mgr: core.NewNumericManager(sys), Exec: sim.Average{Sys: sys}, Cycles: 1}}}
 	}
-	if _, err := RunGroups([]Group{mk("g"), mk("g")}, 2); err == nil {
+	if _, err := runGroups([]group{mk("g"), mk("g")}, 2); err == nil {
 		t.Fatal("duplicate group names must be rejected")
 	}
-	if _, err := RunGroups([]Group{{Name: "", Tasks: mk("x").Tasks}}, 1); err == nil {
+	if _, err := runGroups([]group{{Name: "", Tasks: mk("x").Tasks}}, 1); err == nil {
 		t.Fatal("empty group name must be rejected")
 	}
-	bad := Group{Name: "bad", Tasks: []*Task{{Name: "nope"}}}
-	if _, err := RunGroups([]Group{mk("ok"), bad}, 2); err == nil {
+	bad := group{Name: "bad", Tasks: []*Task{{Name: "nope"}}}
+	if _, err := runGroups([]group{mk("ok"), bad}, 2); err == nil {
 		t.Fatal("task validation errors must surface")
 	}
 }

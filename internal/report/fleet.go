@@ -6,16 +6,14 @@ import (
 
 	"repro/internal/fleet"
 	"repro/internal/metrics"
-	"repro/internal/sim"
 )
 
 // FleetTable formats the cross-stream view of a fleet run: one line per
 // stream (including failed ones), then the fleet-wide aggregation —
 // miss rates, the quality histogram and the utilisation distribution.
-// fs must be the run's aggregate (Aggregate(res), which accepts both
-// retained and zero-retention results) — callers that also persist it
-// compute it once and the printed and persisted summaries cannot
-// diverge.
+// fs must be the run's aggregate (Aggregate(res)) — callers that also
+// persist it compute it once and the printed and persisted summaries
+// cannot diverge.
 func FleetTable(res *fleet.Result, fs metrics.FleetSummary) string {
 	var b strings.Builder
 	fmt.Fprintln(&b, "== fleet — per-stream results ==")
@@ -44,27 +42,6 @@ func FleetTable(res *fleet.Result, fs metrics.FleetSummary) string {
 	fmt.Fprintf(&b, "utilization         p50 %.3f  p90 %.3f  max %.3f\n",
 		fs.UtilizationP50, fs.UtilizationP90, fs.UtilizationMax)
 	return b.String()
-}
-
-// streamAggregates keeps stream order but passes nil for failed streams
-// (which AggregateStats skips), pairing each healthy stream's scalar
-// trace with its streamed stats — replayed from the retained records
-// when the stream ran without a sink.
-func streamAggregates(res *fleet.Result) ([]*sim.Trace, []*sim.StatsSink) {
-	traces := make([]*sim.Trace, len(res.Streams))
-	stats := make([]*sim.StatsSink, len(res.Streams))
-	for k, s := range res.Streams {
-		if s.Err != nil {
-			continue
-		}
-		traces[k] = s.Trace
-		if s.Stats != nil {
-			stats[k] = s.Stats
-		} else {
-			stats[k] = metrics.StatsOfTrace(s.Trace)
-		}
-	}
-	return traces, stats
 }
 
 func histogram(hist []int, total int) string {

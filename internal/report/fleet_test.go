@@ -3,12 +3,18 @@ package report
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/fleet"
 )
 
 func TestFleetTableContents(t *testing.T) {
 	s := *shared
 	s.Cycles = 2 // keep the table run short; shared has 29-frame streams
-	res, err := s.RunFleet(11, 4, 2)
+	streams, err := s.FleetStreams(11, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := fleet.RunStats(fleet.Config{Streams: streams, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,14 +8,22 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/metrics"
 	"repro/internal/plot"
+	"repro/internal/sim"
 )
 
-// Aggregate computes the cross-stream FleetSummary of a fleet result,
-// whichever path produced it (retained traces or streamed stats) — the
-// exported form of the aggregation FleetTable renders, for callers that
-// persist the summary instead of printing it.
+// Aggregate computes the cross-stream FleetSummary of a fleet result
+// from its streamed stats — the exported form of the aggregation
+// FleetTable renders, for callers that persist the summary instead of
+// printing it. A failed stream keeps its place as a nil entry, which
+// AggregateStats skips.
 func Aggregate(res *fleet.Result) metrics.FleetSummary {
-	traces, stats := streamAggregates(res)
+	traces := make([]*sim.Trace, len(res.Streams))
+	stats := make([]*sim.StatsSink, len(res.Streams))
+	for k, s := range res.Streams {
+		if s.Err == nil {
+			traces[k], stats[k] = s.Trace, s.Stats
+		}
+	}
 	return metrics.AggregateStats(traces, stats)
 }
 

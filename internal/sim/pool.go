@@ -17,7 +17,7 @@ import (
 // call has finished.
 //
 // It is the pool for independent units with no arrivals: the parameter
-// sweep (SweepWorkers) and the multitask group runner parallelise
+// sweep (sweepWorkers) and the multitask group runner parallelise
 // through it, and each dispatched unit stays a serial simulation. The
 // fleet engine does not use it; its streams arrive over simulated time
 // and run on the fleet's own worker pool.

@@ -80,17 +80,17 @@ func TestDispatchCoversAllIndices(t *testing.T) {
 }
 
 func TestSweepWorkersMatchesSweep(t *testing.T) {
-	mk := func() []SweepPoint {
-		return []SweepPoint{
+	mk := func() []sweepPoint {
+		return []sweepPoint{
 			{Label: "a", Runner: streamRunner(7)},
 			{Label: "b", Runner: streamRunner(8)},
 			{Label: "bad"},
 			{Label: "c", Runner: streamRunner(9)},
 		}
 	}
-	base := Sweep(mk())
+	base := sweep(mk())
 	for _, workers := range []int{1, 2, 8} {
-		got := SweepWorkers(mk(), workers)
+		got := sweepWorkers(mk(), workers)
 		if len(got) != len(base) {
 			t.Fatal("result length mismatch")
 		}

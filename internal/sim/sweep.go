@@ -4,40 +4,40 @@ import (
 	"fmt"
 )
 
-// SweepPoint is one configuration of a parameter sweep: a label and a
+// sweepPoint is one configuration of a parameter sweep: a label and a
 // fully configured runner. Runners must not share mutable managers (the
 // policy managers are stateless and safe to share; baseline feedback
 // controllers are not).
-type SweepPoint struct {
+type sweepPoint struct {
 	Label  string
 	Runner *Runner
 }
 
-// SweepResult pairs a sweep point's label with its trace (or error).
-type SweepResult struct {
+// sweepResult pairs a sweep point's label with its trace (or error).
+type sweepResult struct {
 	Label string
 	Trace *Trace
 	Err   error
 }
 
-// Sweep executes the given points concurrently on a bounded worker pool
+// sweep executes the given points concurrently on a bounded worker pool
 // (GOMAXPROCS workers) and returns the results in input order. Each
 // simulated run is single-threaded, preserving the paper's execution
 // model; only independent runs are parallelised — the usual shape of a
 // benchmark sweep over seeds, managers or parameter grids.
-func Sweep(points []SweepPoint) []SweepResult {
-	return SweepWorkers(points, 0)
+func sweep(points []sweepPoint) []sweepResult {
+	return sweepWorkers(points, 0)
 }
 
-// SweepWorkers is Sweep with an explicit worker count (≤ 0 selects
+// sweepWorkers is sweep with an explicit worker count (≤ 0 selects
 // GOMAXPROCS). Points are dispatched on the shared sharded pool, so a
 // point's result never depends on the worker count — only the
 // wall-clock time does.
-func SweepWorkers(points []SweepPoint, workers int) []SweepResult {
-	results := make([]SweepResult, len(points))
+func sweepWorkers(points []sweepPoint, workers int) []sweepResult {
+	results := make([]sweepResult, len(points))
 	Dispatch(len(points), workers, func(idx int) {
 		p := points[idx]
-		res := SweepResult{Label: p.Label}
+		res := sweepResult{Label: p.Label}
 		if p.Runner == nil {
 			res.Err = fmt.Errorf("sim: sweep point %q has no runner", p.Label)
 		} else {

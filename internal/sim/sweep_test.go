@@ -13,11 +13,11 @@ func TestSweepMatchesSequentialRuns(t *testing.T) {
 		return &Runner{Sys: sys, Mgr: core.NewNumericManager(sys),
 			Exec: Uniform{Sys: sys, Seed: seed}, Overhead: FreeOverhead, Cycles: 2}
 	}
-	var points []SweepPoint
+	var points []sweepPoint
 	for seed := uint64(0); seed < 16; seed++ {
-		points = append(points, SweepPoint{Label: fmt.Sprintf("seed-%d", seed), Runner: mk(seed)})
+		points = append(points, sweepPoint{Label: fmt.Sprintf("seed-%d", seed), Runner: mk(seed)})
 	}
-	results := Sweep(points)
+	results := sweep(points)
 	if len(results) != 16 {
 		t.Fatalf("result count %d", len(results))
 	}
@@ -38,7 +38,7 @@ func TestSweepMatchesSequentialRuns(t *testing.T) {
 
 func TestSweepPropagatesErrors(t *testing.T) {
 	sys := calmSystem(t, 10)
-	results := Sweep([]SweepPoint{
+	results := sweep([]sweepPoint{
 		{Label: "nil-runner"},
 		{Label: "bad", Runner: &Runner{Sys: sys}},
 		{Label: "good", Runner: &Runner{Sys: sys, Mgr: core.FixedManager{Level: 0},
@@ -53,7 +53,7 @@ func TestSweepPropagatesErrors(t *testing.T) {
 }
 
 func TestSweepEmpty(t *testing.T) {
-	if got := Sweep(nil); len(got) != 0 {
+	if got := sweep(nil); len(got) != 0 {
 		t.Fatal("empty sweep should return empty results")
 	}
 }

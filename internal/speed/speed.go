@@ -168,9 +168,9 @@ func (d *Diagram) Trajectory(states []int, times []core.Time, quals []core.Level
 	return pts
 }
 
-// Slope returns the speed v_{i,j}(q) between two diagram points, i.e.
+// slope returns the speed v_{i,j}(q) between two diagram points, i.e.
 // Δvirtual / Δactual. Infinite when the actual times coincide.
-func Slope(a, b Point) float64 {
+func slope(a, b Point) float64 {
 	dt := float64(b.Actual - a.Actual)
 	if dt == 0 {
 		return float64(core.TimeInf)

@@ -229,12 +229,12 @@ func TestTrajectoryAndSlope(t *testing.T) {
 		t.Fatalf("point 2 = %+v", pts[2])
 	}
 	// Slope between first two points: Δy = 10µs-equivalent, Δt = 5µs → 2.
-	sl := Slope(pts[0], pts[1])
+	sl := slope(pts[0], pts[1])
 	if math.Abs(sl-2.0) > 1e-9 {
 		t.Fatalf("slope = %v, want 2", sl)
 	}
-	if !math.IsInf(Slope(pts[0], pts[0]), 1) && Slope(pts[0], pts[0]) != float64(core.TimeInf) {
-		t.Fatalf("zero-Δt slope should be infinite-like, got %v", Slope(pts[0], pts[0]))
+	if !math.IsInf(slope(pts[0], pts[0]), 1) && slope(pts[0], pts[0]) != float64(core.TimeInf) {
+		t.Fatalf("zero-Δt slope should be infinite-like, got %v", slope(pts[0], pts[0]))
 	}
 }
 
