@@ -368,8 +368,8 @@ func mergeFleetBenchRows(b *testing.B, file string, rows []fleetBenchRow) {
 // engine at workers 1, 2 and 4. The
 // large family (64 streams, dense arrivals, admit-all, workers swept
 // 1/2/4/8/16) is the multi-core scaling matrix: enough concurrent
-// in-flight streams that per-worker completion rings and lookahead
-// admission have parallelism to expose — flat on a single-core host,
+// in-flight streams that the workers and the frontier's completion
+// hand-off have parallelism to expose — flat on a single-core host,
 // dropping ns/action with cores on a real runner, which is exactly
 // what benchguard's speedup assertion checks in CI. Each configuration
 // reuses an OpenScratch, so the rows report the engine's steady state,

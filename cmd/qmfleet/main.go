@@ -31,12 +31,12 @@
 // instance runs its own -workers pool and -admit controller, and the
 // report gains per-instance and fairness sections. Routing decisions are
 // a pure function of the serial event order, so results stay
-// byte-identical at any -workers/-batch/-lookahead — and identical to
+// byte-identical at any -workers/-batch — and identical to
 // the single-goroutine router spec. With -metrics, every fleet
 // instrument gains one instance="i" series per instance.
 //
 // -metrics writes the run's engine counters (admission verdicts,
-// batches, steals, parks, ring occupancy, checkpoint-store activity) as
+// batches, steals, parks, flush sizes, checkpoint-store activity) as
 // Prometheus text exposition after the run; -trace records engine
 // events into a bounded ring stamped with virtual instants and writes
 // Chrome trace JSON. Neither changes results: the engine is
@@ -82,7 +82,6 @@ func main() {
 	streams := flag.Int("streams", 16, "number of independent streams")
 	workers := flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 	batch := flag.Int("batch", fleet.DefaultBatchCycles, "cycles a worker advances one stream before moving to the next in its range")
-	lookahead := flag.Int("lookahead", fleet.DefaultLookahead, "admitted slots batched per worker wake in open runs (results identical at any value)")
 	cycles := flag.Int("cycles", 8, "cycles (frames) per stream")
 	seed := flag.Uint64("seed", 1, "base content seed; stream k uses a seed derived from it")
 	mix := flag.String("mix", "encoder", "stream mix: encoder (paper fleet) or workloads (catalog mix)")
@@ -119,9 +118,6 @@ func main() {
 	}
 	if *batch <= 0 {
 		log.Fatalf("-batch must be a positive cycle batch, got %d", *batch)
-	}
-	if *lookahead <= 0 {
-		log.Fatalf("-lookahead must be a positive window, got %d", *lookahead)
 	}
 	if *rate <= 0 || math.IsNaN(*rate) || math.IsInf(*rate, 0) {
 		log.Fatalf("-rate must be a positive arrival rate, got %v", *rate)
@@ -208,7 +204,6 @@ func main() {
 	var cfg fleet.OpenConfig
 	cfg.Workers = *workers
 	cfg.BatchCycles = *batch
-	cfg.Lookahead = *lookahead
 	if reg != nil && *instances == 1 {
 		cfg.Obs = obs.NewFleetMetrics(reg)
 	}
@@ -288,6 +283,11 @@ func main() {
 		}
 		cfg.Arrivals, err = proc.Times(*streams)
 		if err != nil {
+			// A generated schedule fails only when it runs past the end
+			// of simulated time; a trace replay fails when it is short.
+			if _, replay := proc.(*arrivals.Trace); !replay {
+				log.Fatalf("%v; use a larger -rate or fewer -streams", err)
+			}
 			log.Fatal(err)
 		}
 		cfg.Admit = admitter
@@ -329,7 +329,6 @@ func main() {
 			Admit:       admitter,
 			Workers:     *workers,
 			BatchCycles: *batch,
-			Lookahead:   *lookahead,
 			Seed:        *seed,
 			Obs:         obsBundles,
 		})

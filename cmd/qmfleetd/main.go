@@ -161,7 +161,6 @@ type config struct {
 	admit     fleet.Admitter
 	workers   int
 	batch     int
-	lookahead int
 	maxLevels int // 0 = the startup bundle's level count
 	noise     float64
 	trace     bool
@@ -202,7 +201,6 @@ func main() {
 	admitSpec := flag.String("admit", "all", "admission policy: all, cap=K[,queue=N] or budget=U[,queue=N]")
 	workers := flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS); never changes results")
 	batch := flag.Int("batch", fleet.DefaultBatchCycles, "cycles per scheduling batch; never changes results")
-	lookahead := flag.Int("lookahead", fleet.DefaultLookahead, "admitted slots batched per worker wake; never changes results")
 	maxLevels := flag.Int("max-levels", 0, "widest quality-level count any served bundle may have (0 = the startup bundle's)")
 	noise := flag.Float64("noise", 0.3, "content model jitter amplitude")
 	jsonPath := flag.String("json", "", "write the final report JSON here (atomic rename)")
@@ -230,7 +228,7 @@ func main() {
 	}
 	d, err := newDaemon(config{
 		bundle: *bundlePath, events: *eventsPath, state: *stateDir,
-		manager: *manager, admit: admit, workers: *workers, batch: *batch, lookahead: *lookahead,
+		manager: *manager, admit: admit, workers: *workers, batch: *batch,
 		maxLevels: *maxLevels, noise: *noise, trace: *tracePath != "",
 	})
 	if err != nil {
@@ -335,7 +333,7 @@ func newDaemon(cfg config) (*daemon, error) {
 		strconv.Itoa(levels), strconv.FormatFloat(cfg.noise, 'g', -1, 64))
 
 	d.live = fleet.NewOpenLive(fleet.OpenLiveConfig{
-		Admit: cfg.admit, Workers: cfg.workers, BatchCycles: cfg.batch, Lookahead: cfg.lookahead, MaxLevels: levels,
+		Admit: cfg.admit, Workers: cfg.workers, BatchCycles: cfg.batch, MaxLevels: levels,
 		Obs: d.met, Trace: d.tr,
 	})
 	return d, nil

@@ -23,6 +23,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/sim"
@@ -38,7 +39,8 @@ type Process interface {
 	Name() string
 	// Times returns the arrival instants of the first n streams in
 	// non-decreasing order. It fails for negative n or when the process
-	// cannot produce n arrivals (a finite trace replay).
+	// cannot produce n arrivals: a finite trace replay, or a schedule
+	// whose next arrival would reach core.TimeInf.
 	Times(n int) ([]core.Time, error)
 }
 
@@ -63,6 +65,16 @@ func (p Fixed) Times(n int) ([]core.Time, error) {
 	}
 	if p.Start < 0 || p.Period < 0 {
 		return nil, fmt.Errorf("arrivals: fixed process needs start ≥ 0 and period ≥ 0, got %v and %v", p.Start, p.Period)
+	}
+	if n > 0 && p.Start >= core.TimeInf {
+		return nil, pastEnd("fixed", 0)
+	}
+	// last is the largest k with Start + k·Period < TimeInf; comparing k
+	// against the quotient keeps the product in range.
+	if p.Period > 0 && n > 1 {
+		if last := (core.TimeInf - 1 - p.Start) / p.Period; core.Time(n-1) > last {
+			return nil, pastEnd("fixed", int(last)+1)
+		}
 	}
 	out := make([]core.Time, n)
 	for k := range out {
@@ -97,7 +109,10 @@ func (p Poisson) Times(n int) ([]core.Time, error) {
 	out := make([]core.Time, n)
 	t := core.Time(0)
 	for k := range out {
-		t += r.exponential(p.MeanGap)
+		// t < TimeInf and a draw is at most TimeInf, so the sum fits.
+		if t += r.exponential(p.MeanGap); t >= core.TimeInf {
+			return nil, pastEnd("poisson", k)
+		}
 		out[k] = t
 	}
 	return out, nil
@@ -138,13 +153,20 @@ func (p Bursty) Times(n int) ([]core.Time, error) {
 		// Candidate next arrival inside the current ON window. By the
 		// memoryless property, discarding a partial gap at the window
 		// edge and redrawing after the OFF dwell is still exponential.
+		// t stays below TimeInf and a draw is at most TimeInf, so at,
+		// stateEnd and the end of an OFF dwell stay inside int64.
 		at := t + r.exponential(p.GapOn)
 		if at < stateEnd {
+			if at >= core.TimeInf {
+				return nil, pastEnd("bursty", len(out))
+			}
 			t = at
 			out = append(out, t)
 			continue
 		}
-		t = stateEnd + r.exponential(p.MeanOff)
+		if t = stateEnd + r.exponential(p.MeanOff); t >= core.TimeInf {
+			return nil, pastEnd("bursty", len(out))
+		}
 		stateEnd = t + r.exponential(p.MeanOn)
 	}
 	return out, nil
@@ -283,6 +305,12 @@ func validate(n int) error {
 	return nil
 }
 
+// pastEnd reports the first arrival of a schedule that would reach
+// core.TimeInf, the end of simulated time.
+func pastEnd(process string, k int) error {
+	return fmt.Errorf("arrivals: %s arrival %d would reach the end of simulated time (%v)", process, k, time.Duration(core.TimeInf).Round(time.Second))
+}
+
 // splitmix is the sequential form of the fleet's splitmix64 mixing
 // primitive: a golden-ratio counter finalised by sim.Mix64 per draw.
 type splitmix struct{ state uint64 }
@@ -294,8 +322,14 @@ func (r *splitmix) unit() float64 {
 }
 
 // exponential returns the next exponential draw with the given mean,
-// rounded to the integer tick clock (never negative, at least 0).
+// rounded to the integer tick clock (never negative, at least 0). A
+// draw at or beyond TimeInf returns TimeInf: Go leaves the conversion
+// of an out-of-range float to an integer to the implementation.
 func (r *splitmix) exponential(mean core.Time) core.Time {
 	u := r.unit() // in [0,1) so 1-u is in (0,1] and the log is finite
-	return core.Time(math.Round(-float64(mean) * math.Log(1-u)))
+	x := math.Round(-float64(mean) * math.Log(1-u))
+	if x >= float64(core.TimeInf) {
+		return core.TimeInf
+	}
+	return core.Time(x)
 }

@@ -2,6 +2,7 @@ package arrivals
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"strings"
@@ -39,6 +40,31 @@ func checkProcess(t *testing.T, p Process, n int) []core.Time {
 	return a
 }
 
+// checkPastEnd asserts that p's schedule reaches core.TimeInf within n
+// arrivals, that Times reports it as an arrivals: error naming the first
+// arrival that would reach it, and that the schedule up to that arrival
+// still stands.
+func checkPastEnd(t *testing.T, p Process, n int) {
+	t.Helper()
+	for m := 1; m <= n; m++ {
+		a, err := p.Times(m)
+		if err == nil {
+			if a[m-1] >= core.TimeInf {
+				t.Fatalf("%s: arrival %d is %v, at or past TimeInf", p.Name(), m-1, a[m-1])
+			}
+			continue
+		}
+		if want := fmt.Sprintf("arrivals: %s arrival %d would reach the end of simulated time", strings.SplitN(p.Name(), "(", 2)[0], m-1); !strings.HasPrefix(err.Error(), want) {
+			t.Fatalf("%s: Times(%d) = %v, want an error starting %q", p.Name(), m, err, want)
+		}
+		if _, err := p.Times(m + 100); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("arrival %d ", m-1)) {
+			t.Fatalf("%s: Times(%d) = %v, want the same first arrival %d", p.Name(), m+100, err, m-1)
+		}
+		return
+	}
+	t.Fatalf("%s: %d arrivals never reached TimeInf", p.Name(), n)
+}
+
 func TestFixed(t *testing.T) {
 	a := checkProcess(t, Fixed{Start: 5, Period: 10}, 4)
 	want := []core.Time{5, 15, 25, 35}
@@ -53,6 +79,9 @@ func TestFixed(t *testing.T) {
 	if _, err := (Fixed{Period: -1}).Times(2); err == nil {
 		t.Fatal("negative period accepted")
 	}
+	// 3·Period is past TimeInf, and k·Period in plain int64 wraps past k = 10.
+	checkPastEnd(t, Fixed{Period: core.TimeInf / 5 * 2}, 16)
+	checkPastEnd(t, Fixed{Start: core.TimeInf}, 1)
 }
 
 func TestPoisson(t *testing.T) {
@@ -76,6 +105,26 @@ func TestPoisson(t *testing.T) {
 	if _, err := (Poisson{MeanGap: 10}).Times(-1); err == nil {
 		t.Fatal("negative count accepted")
 	}
+	checkPastEnd(t, Poisson{MeanGap: core.TimeInf / 2, Seed: 1}, 16)
+}
+
+// TestExponentialSaturates: a draw beyond the int64 range saturates at
+// TimeInf instead of leaving the float conversion to the implementation.
+func TestExponentialSaturates(t *testing.T) {
+	r := splitmix{state: 3}
+	beyond := 0
+	for i := 0; i < 1000; i++ {
+		peek := r
+		if -float64(core.TimeInf)*math.Log(1-peek.unit()) >= math.MaxInt64 {
+			beyond++
+		}
+		if d := r.exponential(core.TimeInf); d < 0 || d > core.TimeInf {
+			t.Fatalf("draw %d = %d, outside [0, TimeInf]", i, d)
+		}
+	}
+	if beyond == 0 {
+		t.Fatal("no draw went beyond the int64 range")
+	}
 }
 
 func TestBursty(t *testing.T) {
@@ -98,6 +147,7 @@ func TestBursty(t *testing.T) {
 	if _, err := (Bursty{GapOn: 0, MeanOn: 1, MeanOff: 1}).Times(2); err == nil {
 		t.Fatal("zero burst gap accepted")
 	}
+	checkPastEnd(t, Bursty{GapOn: core.TimeInf / 4, MeanOn: core.TimeInf, MeanOff: core.TimeInf, Seed: 1}, 16)
 }
 
 func TestTrace(t *testing.T) {

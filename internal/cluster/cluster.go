@@ -17,7 +17,7 @@
 // (fleet.ForSubsystem(seed, "cluster/router")), so enabling a drawing
 // policy can never shift arrival or workload sequences. RunSerial is
 // the executable spec: Run is property-tested byte-identical to it at
-// every (workers, batch, lookahead) × policy × arrival model.
+// every (workers, batch) × policy × arrival model.
 package cluster
 
 import (
@@ -48,13 +48,11 @@ type Config struct {
 	// AdmitAll. The same value is shared across instances, so it must be
 	// stateless — which the Admitter contract already requires.
 	Admit fleet.Admitter
-	// Workers, BatchCycles and Lookahead shape each instance's engine
-	// exactly as in OpenConfig. They change wall-clock time, never
-	// results — and neither does the instance count times they are
-	// multiplied by.
+	// Workers and BatchCycles shape each instance's engine exactly as
+	// in OpenConfig. They change wall-clock time, never results — and
+	// neither does the instance count times they are multiplied by.
 	Workers     int
 	BatchCycles int
-	Lookahead   int
 	// Seed is the cluster's base seed. The router's policy draw stream
 	// is ForSubsystem(Seed, "cluster/router"); workload and arrival
 	// seeds derive from their own subsystems, so no component's draws
@@ -297,7 +295,6 @@ func newInstance(cfg *Config, sc *Scratch, maxLevels, i int) *fleet.OpenLive {
 		Admit:       cfg.Admit,
 		Workers:     cfg.Workers,
 		BatchCycles: cfg.BatchCycles,
-		Lookahead:   cfg.Lookahead,
 		MaxLevels:   maxLevels,
 		Scratch:     sc.open[i],
 	}

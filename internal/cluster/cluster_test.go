@@ -156,7 +156,7 @@ func TestClusterSingleInstancePassThrough(t *testing.T) {
 // TestClusterRunMatchesSerial is the cluster's acceptance property: the
 // concurrent engine (instance goroutines, pipelined command queues,
 // overlapped drains) reproduces the single-goroutine serial spec byte
-// for byte — at every (workers, batch, lookahead) shape, under every
+// for byte — at every (workers, batch) shape, under every
 // routing policy, for every arrival model, with one scratch reused
 // across all shapes so stale state cannot hide. Since the reference is
 // recomputed per (model, policy) and every shape must match it, this
@@ -165,7 +165,7 @@ func TestClusterRunMatchesSerial(t *testing.T) {
 	streams := testStreams(t, 36, 31)
 	times := clusterProcesses(t, len(streams))
 	policies := []Policy{RoundRobin{}, LeastBacklog{}, UtilizationWeighted{}, Affinity{}}
-	shapes := []struct{ workers, batch, look int }{{1, 0, 0}, {2, 3, 1}, {4, 32, 8}}
+	shapes := []struct{ workers, batch int }{{1, 0}, {2, 3}, {4, 32}}
 	adm := fleet.CapK{K: 2, Queue: 3}
 	scratch := NewScratch()
 	for model, arr := range times {
@@ -181,7 +181,7 @@ func TestClusterRunMatchesSerial(t *testing.T) {
 				got, err := Run(Config{
 					Streams: streams, Arrivals: arr, Instances: 3,
 					Route: pol, Admit: adm, Seed: 77,
-					Workers: shape.workers, BatchCycles: shape.batch, Lookahead: shape.look,
+					Workers: shape.workers, BatchCycles: shape.batch,
 					Scratch: scratch,
 				})
 				if err != nil {

@@ -13,7 +13,7 @@ import (
 // router sees it at a routing instant: the state after every departure,
 // backlog promotion and fed arrival at instants strictly before the
 // arrival being routed. It is a pure function of the instance's fed
-// event sequence — independent of (workers, batch, lookahead) — which
+// event sequence — independent of (workers, batch) — which
 // is what makes every routing decision reproducible at any shape.
 type InstanceState struct {
 	// InService counts streams admitted and not yet departed.

@@ -270,6 +270,21 @@ func (f *openFrontier) restore(c *OpenCapture) error {
 		}
 		depPush(&f.dep, depEvent{t: e.T, k: e.K})
 	}
+	// A queued stream has not been admitted: a backlog entry naming a
+	// finished or live stream, or one queued twice, would run that stream
+	// a second time once capacity frees.
+	busy := make([]bool, f.n)
+	for _, e := range c.Live {
+		if k := int(e.K); k >= 0 && k < f.n {
+			busy[k] = true
+		}
+	}
+	for _, k := range c.Backlog {
+		if k < 0 || int(k) >= f.n || f.final[k] || busy[k] {
+			return errCorruptCapture(fmt.Sprintf("backlog stream %d out of range, finished, live or queued twice", k))
+		}
+		busy[k] = true
+	}
 	for i := range c.Live {
 		e := &c.Live[i]
 		k := int(e.K)

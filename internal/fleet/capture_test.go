@@ -157,16 +157,18 @@ func TestOpenCaptureDeterministicAtWorkersOne(t *testing.T) {
 
 // TestOpenRestoreRejectsIncoherentCapture drives the restore validator:
 // a capture whose cross-references do not fit the configuration must
-// fail with an error, never index out of range — the engine-level
-// defence behind the checkpoint package's checksum.
+// fail with an error, never index out of range or run a stream twice —
+// the engine-level defence behind the checkpoint package's checksum.
+// Admission is capped at one stream, so the capture holds a backlog
+// next to finished and live streams.
 func TestOpenRestoreRejectsIncoherentCapture(t *testing.T) {
 	const n = 8
 	streams := skewedStreams(t, n, 79)
 	times := burstyTimes(t, n, 31)
-	cfg := OpenConfig{Streams: streams, Arrivals: times, Workers: 1}
+	cfg := OpenConfig{Streams: streams, Arrivals: times, Admit: CapK{K: 1, Queue: -1}, Workers: 1}
 	var cap0 *OpenCapture
-	if _, err := OpenRunStatsCheckpointed(cfg, nil, 2, func(c *OpenCapture) error {
-		if cap0 == nil {
+	if _, err := OpenRunStatsCheckpointed(cfg, nil, 1, func(c *OpenCapture) error {
+		if cap0 == nil && len(c.Backlog) > 0 && len(c.Done) > 0 && len(c.Live) > 0 {
 			cap0 = c
 		}
 		return nil
@@ -174,7 +176,12 @@ func TestOpenRestoreRejectsIncoherentCapture(t *testing.T) {
 		t.Fatal(err)
 	}
 	if cap0 == nil {
-		t.Fatal("no capture taken")
+		t.Fatal("no capture with a backlog, a finished and a live stream")
+	}
+	// setBacklogHead replaces the backlog's head on a copy, leaving the
+	// shared capture intact for the next case.
+	setBacklogHead := func(c *OpenCapture, k int32) {
+		c.Backlog = append([]int32{k}, c.Backlog[1:]...)
 	}
 	corrupt := []struct {
 		name string
@@ -194,6 +201,18 @@ func TestOpenRestoreRejectsIncoherentCapture(t *testing.T) {
 		}},
 		{"too many lifecycles", func(c *OpenCapture) {
 			c.Lifecycles = append(c.Lifecycles, c.Lifecycles...)
+		}},
+		{"backlog stream out of range", func(c *OpenCapture) {
+			setBacklogHead(c, 1<<20)
+		}},
+		{"backlog names a finished stream", func(c *OpenCapture) {
+			setBacklogHead(c, c.Done[0].K)
+		}},
+		{"backlog names a live stream", func(c *OpenCapture) {
+			setBacklogHead(c, c.Live[0].K)
+		}},
+		{"backlog names a stream twice", func(c *OpenCapture) {
+			c.Backlog = append([]int32{c.Backlog[0]}, c.Backlog...)
 		}},
 	}
 	for _, tc := range corrupt {

@@ -61,9 +61,6 @@ type OpenScratch struct {
 
 	lifecycles []metrics.Lifecycle
 	streams    []StreamResult
-	rings      []completionRing
-	over       []int32
-	overBuf    []int32
 
 	traces []sim.Trace
 	stats  []sim.StatsSink
@@ -132,6 +129,15 @@ func depPop(h *[]depEvent) depEvent {
 	}
 }
 
+// lookahead is the frontier's publication window: the number of
+// admitted-and-ready slots batched into one executor wake. It is wide
+// enough that an admission burst wakes the pool once instead of per
+// stream, and narrow enough that the first admitted stream of a burst is
+// never starved behind the frontier's own event processing. Admission
+// decisions are made in serial event order regardless, so results never
+// depend on it.
+const lookahead = 16
+
 // openExec is the execution side of the continuous engine: the frontier
 // calls start when a valid stream's slot is ready to run and drain to
 // collect completions (blocking only when an unresolved departure bound
@@ -184,7 +190,7 @@ type openFrontier struct {
 	lastDep core.Time
 	ai      int   // arrival cursor into order
 	events  int64 // processed event groups (checkpoint-boundary counter)
-	look    int   // lookahead window: ready slots published per executor wake
+	look    int   // ready slots published per executor wake (lookahead; tests vary it)
 	starts  int   // ready slots admitted since the last flushStarts
 
 	arena *openArena
@@ -213,7 +219,7 @@ func (f *openFrontier) attachExec(n, workers, batch int) {
 		f.sc.inline.met = f.met
 		f.exec = &f.sc.inline
 	} else {
-		f.exec = newOpenSched(f.arena, workers, batch, f.sc, f.met, f.tr)
+		f.exec = newOpenSched(f.arena, workers, batch, f.met, f.tr)
 	}
 }
 

@@ -23,10 +23,6 @@ type OpenLiveConfig struct {
 	// OpenConfig: they change wall-clock time, never results.
 	Workers     int
 	BatchCycles int
-	// Lookahead is OpenConfig.Lookahead: the admission batch size per
-	// executor wake (≤ 0 selects DefaultLookahead). Results are
-	// byte-identical at any value.
-	Lookahead int
 	// MaxLevels bounds the quality-level count of every stream that
 	// will ever be fed — the uniform histogram window width of the slot
 	// arena, which cannot be widened once slots are live. Feeding a
@@ -87,17 +83,14 @@ func newOpenLive(cfg OpenLiveConfig, export func(int, string) sim.Sink, n int) *
 	if sc == nil {
 		sc = NewOpenScratch()
 	}
-	adm, look := cfg.Admit, cfg.Lookahead
+	adm := cfg.Admit
 	if adm == nil {
 		adm = AdmitAll{}
-	}
-	if look <= 0 {
-		look = DefaultLookahead
 	}
 	// The frontier's slabs restart empty but keep their backing arrays:
 	// on a warm scratch every appendStream is a capacity-reusing append.
 	f := &sc.frontier
-	*f = openFrontier{sc: sc, maxLevels: cfg.MaxLevels, adm: adm, look: look,
+	*f = openFrontier{sc: sc, maxLevels: cfg.MaxLevels, adm: adm, look: lookahead,
 		arena: &sc.arena, res: &sc.res, met: cfg.Obs, tr: cfg.Trace,
 		streams: f.streams[:0], arr: f.arr[:0], order: f.order[:0], util: f.util[:0],
 		minFin: f.minFin[:0], final: f.final[:0], dep: f.dep[:0], pend: f.pend[:0], backlog: f.backlog}
@@ -133,7 +126,7 @@ func loadOpen(cfg *OpenConfig) (*OpenLive, error) {
 		}
 	}
 	ol := newOpenLive(OpenLiveConfig{Admit: cfg.Admit, Workers: cfg.Workers, BatchCycles: cfg.BatchCycles,
-		Lookahead: cfg.Lookahead, MaxLevels: maxLevels, Obs: cfg.Obs, Trace: cfg.Trace, Scratch: cfg.Scratch},
+		MaxLevels: maxLevels, Obs: cfg.Obs, Trace: cfg.Trace, Scratch: cfg.Scratch},
 		cfg.Export, len(cfg.Streams))
 	for k := range cfg.Streams {
 		ol.appendStream(cfg.Streams[k], cfg.Arrivals[k])
@@ -256,7 +249,7 @@ func (ol *OpenLive) CPULoad() float64 { return ol.f.cpuLoad }
 // decision. After Advance(t), Backlog/InService/CPULoad report the
 // serial-order state with every departure, promotion and fed arrival at
 // instants ≤ t accounted for — a pure function of the fed sequence,
-// independent of (workers, batch, lookahead). Feeding an arrival at an
+// independent of (workers, batch). Feeding an arrival at an
 // instant ≤ a previously advanced watermark is an order error, exactly
 // as feeding out of arrival order is.
 func (ol *OpenLive) Advance(watermark core.Time) error {

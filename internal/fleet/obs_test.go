@@ -24,7 +24,7 @@ func TestOpenObsOnOffByteIdentical(t *testing.T) {
 	const n = 30
 	streams := skewedStreams(t, n, 37)
 	shapes := []struct{ workers, batch, look int }{
-		{1, 0, 0}, {2, 1, 1}, {4, 32, 4}, {8, 3, 64},
+		{1, 0, lookahead}, {2, 1, 1}, {4, 32, 4}, {8, 3, 64},
 	}
 	for model, times := range openProcesses(t, n) {
 		ref, err := OpenRunStatsSerial(OpenConfig{
@@ -34,16 +34,15 @@ func TestOpenObsOnOffByteIdentical(t *testing.T) {
 		}
 		for _, shape := range shapes {
 			_, met, tr := obsBundle()
-			got, err := OpenRunStats(OpenConfig{
+			got, err := runWindow(OpenConfig{
 				Streams:     streams,
 				Arrivals:    times,
 				Admit:       CapK{K: 3, Queue: -1},
 				Workers:     shape.workers,
 				BatchCycles: shape.batch,
-				Lookahead:   shape.look,
 				Obs:         met,
 				Trace:       tr,
-			})
+			}, shape.look)
 			if err != nil {
 				t.Fatalf("%s: %v", model, err)
 			}
@@ -58,7 +57,7 @@ func TestOpenObsOnOffByteIdentical(t *testing.T) {
 
 // serialOrderSnapshot collects the metric values the determinism
 // contract pins: everything driven by the frontier's single-goroutine
-// event loop must be identical at any (workers, batch, lookahead).
+// event loop must be identical at any (workers, batch, lookahead window).
 type serialOrderSnapshot struct {
 	arrivals, admitted, delayed, shed, departures, events int64
 	backlogMax                                            int64
@@ -88,20 +87,19 @@ func TestOpenSerialOrderMetricsDeterministic(t *testing.T) {
 	times := openProcesses(t, n)["bursty"]
 	adm := CapK{K: 2, Queue: 2}
 	shapes := []struct{ workers, batch, look int }{
-		{1, 0, 0}, {2, 1, 1}, {4, 32, 4}, {8, 3, 64},
+		{1, 0, lookahead}, {2, 1, 1}, {4, 32, 4}, {8, 3, 64},
 	}
 	var want serialOrderSnapshot
 	for i, shape := range shapes {
 		_, met, _ := obsBundle()
-		res, err := OpenRunStats(OpenConfig{
+		res, err := runWindow(OpenConfig{
 			Streams:     streams,
 			Arrivals:    times,
 			Admit:       adm,
 			Workers:     shape.workers,
 			BatchCycles: shape.batch,
-			Lookahead:   shape.look,
 			Obs:         met,
-		})
+		}, shape.look)
 		if err != nil {
 			t.Fatal(err)
 		}

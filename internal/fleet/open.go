@@ -38,14 +38,6 @@ type OpenConfig struct {
 	// The serial spec ignores both.
 	Workers     int
 	BatchCycles int
-	// Lookahead bounds how many admitted-and-ready slots the frontier
-	// batches into one executor wake (≤ 0 selects DefaultLookahead;
-	// 1 publishes per event, the pre-lookahead behaviour). Admission
-	// decisions are made in exact serial event order regardless — the
-	// window only amortizes the wake of parked workers, so results are
-	// byte-identical at any (workers, batch, lookahead). The serial
-	// spec ignores it.
-	Lookahead int
 	// Export, when non-nil, supplies an extra per-stream sink, keyed by
 	// the stream's index in Streams, that each executed stream's records
 	// are teed into alongside its StatsSink; returning nil skips the
@@ -62,10 +54,10 @@ type OpenConfig struct {
 	// Obs, when non-nil, enables the engine's metric hooks: the frontier
 	// feeds the serial-order instruments (arrivals, verdicts, backlog
 	// accounting, event groups) and the executor feeds the
-	// shape-dependent ones (batches, steals, parks, ring occupancy).
+	// shape-dependent ones (batches, steals, parks).
 	// Observability on ≡ off is byte-identical — results never depend on
 	// it — and the serial-order metric values are themselves identical
-	// at any (workers, batch, lookahead); both are property-tested. The
+	// at any (workers, batch); both are property-tested. The
 	// serial spec ignores it.
 	Obs *obs.FleetMetrics
 	// Trace, when non-nil, records lifecycle events (arrive, admit,
@@ -112,13 +104,6 @@ func (r *OpenResult) Err() error {
 	}
 	return nil
 }
-
-// DefaultLookahead is the admission lookahead window selected by
-// OpenConfig.Lookahead ≤ 0: wide enough that an admission burst wakes
-// the pool once instead of per stream, narrow enough that the first
-// admitted stream of a burst is never starved behind the frontier's
-// own event processing.
-const DefaultLookahead = 16
 
 // OpenRunStats executes the open system on the engine with one
 // StatsSink per executed stream — the zero-retention shape: slot memory

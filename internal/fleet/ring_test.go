@@ -12,76 +12,24 @@ import (
 	"repro/internal/sim"
 )
 
-// TestCompletionRingWrapAround drives one SPSC ring through several
-// capacity wraps with interleaved push/pop phases: FIFO order must
-// survive the cursor wrapping, push must refuse exactly at capacity,
-// and pop must refuse exactly at empty.
-func TestCompletionRingWrapAround(t *testing.T) {
-	const capacity = 4
-	var r completionRing
-	r.reset(capacity)
-	if _, ok := r.pop(); ok {
-		t.Fatal("pop on an empty ring succeeded")
+// runWindow is OpenRunStats with the frontier's lookahead window set to
+// look: it loads the run, overrides the window and runs it to Close.
+func runWindow(cfg OpenConfig, look int) (*OpenResult, error) {
+	ol, err := loadOpen(&cfg)
+	if err != nil {
+		return nil, err
 	}
-	next := int32(0) // next value to push
-	want := int32(0) // next value pop must yield
-	for round := 0; round < 5; round++ {
-		// Fill to capacity, confirm the full refusal, then half-drain —
-		// the half offset walks the cursors across the wrap boundary.
-		for r.tail.Load()-r.head.Load() < capacity {
-			if !r.push(next) {
-				t.Fatalf("round %d: push refused below capacity", round)
-			}
-			next++
-		}
-		if r.push(-1) {
-			t.Fatalf("round %d: push succeeded on a full ring", round)
-		}
-		for i := 0; i < capacity/2; i++ {
-			got, ok := r.pop()
-			if !ok || got != want {
-				t.Fatalf("round %d: pop = %d,%v, want %d,true", round, got, ok, want)
-			}
-			want++
-		}
-	}
-	for {
-		got, ok := r.pop()
-		if !ok {
-			break
-		}
-		if got != want {
-			t.Fatalf("drain: pop = %d, want %d", got, want)
-		}
-		want++
-	}
-	if want != next {
-		t.Fatalf("drained to %d, pushed %d values", want, next)
-	}
-	if h, tl := r.head.Load(), r.tail.Load(); h != tl || h <= int64(capacity) {
-		t.Fatalf("cursors head=%d tail=%d never wrapped capacity %d", h, tl, capacity)
-	}
+	ol.f.look = look
+	return ol.Close()
 }
 
-// withTinyRings shrinks the per-worker completion rings for the
-// duration of one test, forcing the wrap-around, backpressure-spin and
-// overflow-park paths that a 64-slot ring would never hit in a test-
-// sized run. Tests using it must not run in parallel.
-func withTinyRings(t *testing.T, capacity int) {
-	t.Helper()
-	old := openRingCap
-	openRingCap = capacity
-	t.Cleanup(func() { openRingCap = old })
-}
-
-// TestOpenTinyRingBackpressureMatchesSpec is the overflow-path property
-// test: with 2-slot rings, simultaneous arrivals and short streams,
-// workers overrun their rings constantly — the bounded spin and the
-// overflow park both fire — yet results must stay byte-identical to
-// the serial spec at every worker count. A fresh scratch is reused
-// across shapes so ring state must also survive reuse.
+// TestOpenTinyRingBackpressureMatchesSpec pins completion bursts at
+// full concurrency: every arrival lands at t = 0, streams are short,
+// and 2 to 16 workers publish finished slots faster than the frontier
+// retires them, yet results must stay byte-identical to the serial spec
+// at every worker count. One scratch is reused across shapes, so the
+// executor must also leave nothing behind between runs.
 func TestOpenTinyRingBackpressureMatchesSpec(t *testing.T) {
-	withTinyRings(t, 2)
 	const n = 36
 	streams := skewedStreams(t, n, 71)
 	times, err := arrivals.Fixed{}.Times(n) // all at t=0: maximal concurrency
@@ -105,15 +53,14 @@ func TestOpenTinyRingBackpressureMatchesSpec(t *testing.T) {
 	}
 }
 
-// TestOpenCheckpointDrainsFullRings pins the quiesce contract under
-// ring pressure: with 2-slot rings a worker can reach the quiesce park
-// while its ring is full and a completion is still in its overflow
-// cell. Checkpointing at every boundary must drain both — a capture
-// holding a completed-but-unretired slot would resume that stream a
-// second time. Every capture is resumed across shapes and compared to
-// the uninterrupted serial spec.
+// TestOpenCheckpointDrainsFullRings pins the quiesce contract: a
+// worker can publish a completion right before it parks for a quiesce,
+// so a checkpoint at every boundary must harvest every published
+// completion before it captures — a capture holding a completed but
+// unretired slot would resume that stream a second time. Every capture
+// is resumed across shapes and compared to the uninterrupted serial
+// spec.
 func TestOpenCheckpointDrainsFullRings(t *testing.T) {
-	withTinyRings(t, 2)
 	const n = 24
 	streams := skewedStreams(t, n, 73)
 	times := burstyTimes(t, n, 29)
@@ -165,11 +112,11 @@ func TestOpenLookaheadWindowEquivalence(t *testing.T) {
 			t.Fatalf("%s: %v", model, err)
 		}
 		scratch := NewOpenScratch()
-		for _, look := range []int{1, 2, 3, DefaultLookahead, 1 << 20} {
+		for _, look := range []int{1, 2, 3, lookahead, 1 << 20} {
 			for _, workers := range []int{1, 2, 8} {
 				cfg := base
-				cfg.Workers, cfg.Lookahead, cfg.Scratch = workers, look, scratch
-				got, err := OpenRunStats(cfg)
+				cfg.Workers, cfg.Scratch = workers, scratch
+				got, err := runWindow(cfg, look)
 				if err != nil {
 					t.Fatalf("%s lookahead=%d workers=%d: %v", model, look, workers, err)
 				}
@@ -180,10 +127,10 @@ func TestOpenLookaheadWindowEquivalence(t *testing.T) {
 }
 
 // TestOpenWorkerExtremesStress covers the pool-shape extremes the
-// range claim and the ring harvest must both survive (run under
+// range claim and the completion hand-off must both survive (run under
 // -race in CI): workers ≫ streams (most workers own an empty range
-// and live off steals and parks) and streams ≫ workers (every
-// ring turns over many times). Both compare to the serial spec.
+// and live off steals and parks) and streams ≫ workers (every worker
+// hands back many completions). Both compare to the serial spec.
 func TestOpenWorkerExtremesStress(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -192,7 +139,7 @@ func TestOpenWorkerExtremesStress(t *testing.T) {
 		look    int
 	}{
 		{"workers-over-streams", 4, 16, 1},
-		{"streams-over-workers", 96, 2, DefaultLookahead},
+		{"streams-over-workers", 96, 2, lookahead},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -207,9 +154,9 @@ func TestOpenWorkerExtremesStress(t *testing.T) {
 				t.Fatal(err)
 			}
 			cfg := base
-			cfg.Workers, cfg.BatchCycles, cfg.Lookahead = tc.workers, 1, tc.look
+			cfg.Workers, cfg.BatchCycles = tc.workers, 1
 			for round := 0; round < 3; round++ {
-				got, err := OpenRunStats(cfg)
+				got, err := runWindow(cfg, tc.look)
 				if err != nil {
 					t.Fatal(err)
 				}

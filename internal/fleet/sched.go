@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -33,9 +32,10 @@ func advance(st *sim.Stream, batch int) bool {
 // over the slot arena. Workers outlive every stream: the frontier binds
 // arrivals into recycled slots and publishes them ready *while workers
 // run*, and workers harvest nothing themselves — they advance claimed
-// slots in BatchCycles batches and publish completions for the frontier
-// to retire. There is no global barrier anywhere: a burst of one stream
-// costs no pool start/join, and a straggler never idles the pool.
+// slots in BatchCycles batches and hand each finished slot back to the
+// frontier to retire. There is no global barrier anywhere: a burst of
+// one stream costs no pool start/join, and a straggler never idles the
+// pool.
 //
 // Work discovery is shard-affine: worker w first sweeps its own
 // contiguous range [w·n/W, (w+1)·n/W) of the n published slots, and only
@@ -46,9 +46,14 @@ func advance(st *sim.Stream, batch int) bool {
 // that finds nothing claimable parks on the bind generation and is
 // woken by the next injection (or shutdown), so an idle pool burns no
 // CPU.
+//
+// The hand-off back is one list of finished slots under mu: a worker
+// appends its slot and signals comp, and the frontier swaps the list out
+// and finishes the slots outside the lock. Admission decisions come
+// from tables compiled before the run, so this is the only traffic
+// between the goroutines beyond the slot status words.
 type openSched struct {
 	a       *openArena
-	sc      *OpenScratch
 	batch   int
 	workers int
 	met     *obs.FleetMetrics // optional observability (OpenConfig.Obs); nil = dark
@@ -59,139 +64,34 @@ type openSched struct {
 	comp   *sync.Cond // the frontier blocks here for completions
 	quiet  *sync.Cond // quiesce waits here until every worker is parked
 	resume *sync.Cond // paused workers park here until release
-	space  *sync.Cond // overflow-parked workers wait for the frontier here
-	over   []int32    // per-worker overflow cell (-1 = none), under mu
 	gen    uint64     // bind generation; bumped under mu per injection batch
-	parked int        // workers waiting on work, resume, or space
+	parked int        // workers waiting on work or resume
 	paused bool       // quiesce requested; workers park at the next boundary
 	done   bool
+	fin    []int32 // finished slots awaiting the frontier, under mu
+	spare  []int32 // the list the frontier last drained; swapped in under mu
 
-	rings   []completionRing // per-worker SPSC completion rings
-	overBuf []int32          // frontier-only staging for overflow slots
+	// finished counts fin's entries. It changes only under mu; the
+	// frontier's per-event poll reads it without the lock.
+	//detlint:atomic
+	finished atomic.Int32
 
-	_ [cacheLine]byte // isolate the cross-thread hot words below
+	_ [cacheLine]byte // isolate the steal counter from the words above
 	// steal staggers full steal sweeps across drained workers.
 	//detlint:atomic
 	steal atomic.Int64
 	_     [cacheLine - 8]byte
-	// compWait is the Dekker flag for the frontier's blocking drain: the
-	// frontier raises it under mu, then checks the ring cursors and the
-	// overflow count under mu before every comp.Wait; every worker loads
-	// it after publishing. Both sides are seq-cst store-then-load pairs
-	// over (ring tail, compWait), so either the frontier's check sees the
-	// completion or the worker sees the flag — and the worker's signal
-	// takes mu, which the frontier holds from its check until Wait
-	// releases it, so that signal cannot fall between the two. The
-	// emptiness check must stay under mu: a check made with mu released
-	// lets a push and its signal both land before the wait, and the
-	// wakeup is lost.
-	//detlint:atomic
-	compWait atomic.Int32
-	_        [cacheLine - 4]byte
-	// overflow counts workers parked with a completion in their over
-	// cell; the frontier polls it per harvest without taking the lock.
-	//detlint:atomic
-	overflow atomic.Int32
-	_        [cacheLine - 4]byte
 
 	wg sync.WaitGroup
 }
 
-// openRingCap is the per-worker completion ring capacity (a power of
-// two). It is a variable only so tests can shrink it to force the
-// wrap-around and overflow-park paths; nothing mutates it concurrently
-// with a run.
-var openRingCap = 64
-
-// ringSpin bounds how long a worker yields on a full ring before
-// parking: long enough to ride out a frontier that is mid-harvest,
-// short enough that quiesce is never held hostage by a spinner.
-const ringSpin = 128
-
-// completionRing is a single-producer/single-consumer ring of finished
-// slots: the owning worker pushes, the frontier pops. head and tail sit
-// on separate cache lines so the producer's stores never invalidate the
-// consumer's hot line (or vice versa). Both cursors are seq-cst
-// atomics, which carries the classic SPSC argument: the producer writes
-// buf[t] only after observing head > t−cap, the consumer reads buf[h]
-// only after observing tail > h, and each side advances only its own
-// cursor — so every buf access is ordered by a cursor publication.
-type completionRing struct {
-	// head is the consumer cursor; only the frontier advances it.
-	//detlint:atomic
-	head atomic.Int64
-	_    [cacheLine - 8]byte
-	// tail is the producer cursor; only the owning worker advances it.
-	//detlint:atomic
-	tail atomic.Int64
-	_    [cacheLine - 8]byte
-	buf  []int32 // power-of-two length; indexed by cursor & (len-1)
-}
-
-// reset prepares the ring for a new run, reallocating the buffer only
-// when the capacity changed since the scratch last held it.
-func (r *completionRing) reset(capacity int) {
-	if len(r.buf) != capacity {
-		r.buf = make([]int32, capacity)
-	}
-	r.head.Store(0)
-	r.tail.Store(0)
-}
-
-// push publishes one finished slot, reporting false when the ring is
-// full — the producer falls back to publishSlow rather than block here.
-//
-//detlint:hotpath
-func (r *completionRing) push(slot int32) bool {
-	t := r.tail.Load()
-	if t-r.head.Load() >= int64(len(r.buf)) {
-		return false
-	}
-	r.buf[int(t)&(len(r.buf)-1)] = slot
-	r.tail.Store(t + 1)
-	return true
-}
-
-// pop takes the oldest published slot, if any.
-//
-//detlint:hotpath
-func (r *completionRing) pop() (int32, bool) {
-	h := r.head.Load()
-	if h == r.tail.Load() {
-		return 0, false
-	}
-	slot := r.buf[int(h)&(len(r.buf)-1)]
-	r.head.Store(h + 1)
-	return slot, true
-}
-
-// newOpenSched spawns the persistent pool. The rings and overflow cells
-// live in the scratch so a warm steady state publishes without
-// allocating; cursors are reset here because an aborted run can leave
-// completions behind.
-func newOpenSched(a *openArena, workers, batch int, sc *OpenScratch, met *obs.FleetMetrics, tr *obs.Trace) *openSched {
-	s := &openSched{a: a, sc: sc, batch: batch, workers: workers, met: met, tr: tr}
+// newOpenSched spawns the persistent pool.
+func newOpenSched(a *openArena, workers, batch int, met *obs.FleetMetrics, tr *obs.Trace) *openSched {
+	s := &openSched{a: a, batch: batch, workers: workers, met: met, tr: tr}
 	s.work = sync.NewCond(&s.mu)
 	s.comp = sync.NewCond(&s.mu)
 	s.quiet = sync.NewCond(&s.mu)
 	s.resume = sync.NewCond(&s.mu)
-	s.space = sync.NewCond(&s.mu)
-	if len(sc.rings) < workers {
-		sc.rings = make([]completionRing, workers)
-	}
-	if cap(sc.over) < workers {
-		sc.over = make([]int32, workers)
-		sc.overBuf = make([]int32, 0, workers)
-	}
-	s.rings = sc.rings[:workers]
-	for w := range s.rings {
-		s.rings[w].reset(openRingCap)
-	}
-	s.over = sc.over[:workers]
-	for w := range s.over {
-		s.over[w] = -1
-	}
-	s.overBuf = sc.overBuf[:0]
 	s.wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func(w int) {
@@ -219,148 +119,48 @@ func (s *openSched) start(n int) {
 	s.mu.Unlock()
 }
 
-// harvest retires every published completion — the per-worker rings
-// round-robin, then any overflow-parked slots — and reports whether it
-// found one. Ring traffic is entirely lock-free; the mutex is touched
-// only when some worker overflowed its ring and parked.
-func (s *openSched) harvest(f *openFrontier) bool {
-	got := false
-	for w := range s.rings {
-		r := &s.rings[w]
-		for {
-			slot, ok := r.pop()
-			if !ok {
-				break
-			}
-			f.finish(slot)
-			got = true
-		}
+// drain retires published completions, blocking until at least one
+// arrives when block is set. The non-blocking pass skips the lock while
+// the finished count reads zero. The blocking pass tests the list and
+// waits under the same lock a publishing worker appends under, so a
+// completion cannot slip in between the test and the wait.
+func (s *openSched) drain(f *openFrontier, block bool) {
+	if !block && s.finished.Load() == 0 {
+		return
 	}
-	if s.overflow.Load() != 0 && s.takeOverflow(f) {
-		got = true
-	}
-	return got
-}
-
-// takeOverflow consumes the overflow cell of every worker parked on a
-// full ring and wakes them. Slots are collected under the lock but
-// retired outside it, so the parked workers resume while the frontier
-// is still finishing their streams.
-func (s *openSched) takeOverflow(f *openFrontier) bool {
 	s.mu.Lock()
-	buf := s.overBuf[:0]
-	for w := range s.over {
-		if s.over[w] >= 0 {
-			buf = append(buf, s.over[w])
-			s.over[w] = -1
-		}
+	for block && len(s.fin) == 0 {
+		s.comp.Wait()
 	}
-	if len(buf) > 0 {
-		s.overflow.Add(int32(-len(buf)))
-		s.space.Broadcast()
-	}
+	fin := s.fin
+	s.fin, s.spare = s.spare[:0], fin
+	s.finished.Store(0)
 	s.mu.Unlock()
-	s.overBuf = buf[:0]
-	for _, slot := range buf {
+	for _, slot := range fin {
 		f.finish(slot)
 	}
-	return len(buf) > 0
 }
 
-// drain retires published completions, blocking until at least one
-// arrives when block is set. The non-blocking pass never takes the
-// mutex unless a ring overflowed; the blocking pass raises compWait and
-// tests for a publication under mu before every wait (see compWait).
-func (s *openSched) drain(f *openFrontier, block bool) {
-	for !s.harvest(f) && block {
-		s.mu.Lock()
-		s.compWait.Store(1)
-		for !s.published() {
-			s.comp.Wait()
-		}
-		s.compWait.Store(0)
-		s.mu.Unlock()
-	}
-}
-
-// published reports whether a completion awaits harvest: a ring with an
-// unconsumed entry, or an overflow-parked worker.
-func (s *openSched) published() bool {
-	for w := range s.rings {
-		if r := &s.rings[w]; r.tail.Load() != r.head.Load() {
-			return true
-		}
-	}
-	return s.overflow.Load() != 0
-}
-
-// publish hands one finished slot to the frontier. The fast path is a
-// single SPSC push with no lock; the compWait check afterwards wakes a
-// frontier that went to sleep concurrently (see compWait).
-func (s *openSched) publish(w int, slot int32) {
-	r := &s.rings[w]
-	if !r.push(slot) {
-		s.publishSlow(w, slot)
-	}
-	if s.met != nil {
-		// Approximate occupancy: both cursors may move between the two
-		// loads, but the high-water is a shape-dependent signal, not an
-		// invariant.
-		s.met.RingHighWater.SetMax(r.tail.Load() - r.head.Load())
-	}
-	if s.compWait.Load() != 0 {
-		s.mu.Lock()
-		s.comp.Signal()
-		s.mu.Unlock()
-	}
-}
-
-// publishSlow handles a full ring: yield-spin briefly (the frontier may
-// be mid-harvest), then park with the slot in the worker's overflow
-// cell until the frontier consumes it. Publication never waits on the
-// frontier while holding anything the frontier needs, and the park
-// counts toward quiesce — so a checkpoint reaches quiescence even with
-// every ring full and drains the backlog afterwards.
-func (s *openSched) publishSlow(w int, slot int32) {
-	r := &s.rings[w]
-	for i := 0; i < ringSpin; i++ {
-		runtime.Gosched()
-		if r.push(slot) {
-			return
-		}
-	}
+// publish hands one finished slot to the frontier. It never blocks
+// beyond the lock, so a publishing worker always reaches its next
+// boundary — and a quiesce — promptly.
+func (s *openSched) publish(slot int32) {
 	s.mu.Lock()
-	if !r.push(slot) {
-		if s.met != nil {
-			s.met.OverflowParks.Inc()
-		}
-		s.over[w] = slot
-		s.overflow.Add(1)
-		s.parked++
-		if s.parked == s.workers {
-			s.quiet.Signal()
-		}
-		if s.compWait.Load() != 0 {
-			s.comp.Signal()
-		}
-		for s.over[w] >= 0 && !s.done {
-			s.space.Wait()
-		}
-		s.parked--
-	}
+	s.fin = append(s.fin, slot)
+	s.finished.Add(1)
+	s.comp.Signal()
 	s.mu.Unlock()
 }
 
 // shutdown releases the pool. The frontier calls it once every
 // departure has been retired, so no slot can still be ready or claimed
-// — except on abort, where a worker may still be parked on a full ring;
-// the space broadcast lets it abandon the slot and exit.
+// — except on abort, where each worker finishes the batch it holds and
+// exits, and nothing reads what it publishes.
 func (s *openSched) shutdown() {
 	s.mu.Lock()
 	s.done = true
 	s.work.Broadcast()
 	s.resume.Broadcast()
-	s.space.Broadcast()
 	s.mu.Unlock()
 	s.wg.Wait()
 }
@@ -371,10 +171,9 @@ func (s *openSched) shutdown() {
 // and no slab is being written, so the frontier can read (or grow) every
 // arena structure without a race — the checkpoint and population-growth
 // hook. The frontier must still drain published completions itself: a
-// worker may have completed a stream right before parking, and a worker
-// parked on a full ring counts as parked with its slot still in the
-// overflow cell — drain consumes both, so no slotDone slot survives a
-// post-quiesce drain.
+// worker may have completed a stream right before parking. Its publish
+// took mu before its park did, so the post-quiesce drain sees it, and no
+// slotDone slot survives that drain.
 func (s *openSched) quiesce() {
 	s.mu.Lock()
 	s.paused = true
@@ -448,7 +247,7 @@ func (s *openSched) runOpen(w int) {
 		}
 		if advance(&tbl.streams[idx], s.batch) {
 			s.a.status[slot].v.Store(slotDone)
-			s.publish(w, slot)
+			s.publish(slot)
 		} else {
 			s.a.status[slot].v.Store(slotReady)
 		}

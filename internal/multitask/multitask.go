@@ -93,51 +93,6 @@ func (r *Result) TotalMisses() int {
 	return n
 }
 
-// group is one independent EDF-scheduled task set: the tasks share one
-// simulated CPU with each other, but not with other groups. A fleet of
-// groups models many multi-tenant devices managed at once.
-type group struct {
-	Name  string
-	Tasks []*Task
-}
-
-// runGroups executes independent groups concurrently on the simulation
-// layer's sharded worker pool (workers ≤ 0 selects GOMAXPROCS) and
-// returns each group's result keyed by group name. Every group stays a
-// serial EDF simulation, so its result is identical to calling Run on
-// its tasks; only independent groups overlap in wall-clock time. The
-// groups must be independent: a stateful Manager instance (e.g. the
-// baseline feedback controllers) must not be shared across groups —
-// the stateless policy and table managers are safe to share.
-func runGroups(groups []group, workers int) (map[string]*Result, error) {
-	if len(groups) == 0 {
-		return nil, errors.New("multitask: no groups")
-	}
-	seen := map[string]bool{}
-	for _, g := range groups {
-		if g.Name == "" {
-			return nil, errors.New("multitask: group with empty name")
-		}
-		if seen[g.Name] {
-			return nil, fmt.Errorf("multitask: duplicate group name %q", g.Name)
-		}
-		seen[g.Name] = true
-	}
-	results := make([]*Result, len(groups))
-	errs := make([]error, len(groups))
-	sim.Dispatch(len(groups), workers, func(i int) {
-		results[i], errs[i] = Run(groups[i].Tasks)
-	})
-	out := make(map[string]*Result, len(groups))
-	for i, g := range groups {
-		if errs[i] != nil {
-			return nil, fmt.Errorf("multitask: group %q: %w", g.Name, errs[i])
-		}
-		out[g.Name] = results[i]
-	}
-	return out, nil
-}
-
 // Run interleaves the tasks on one simulated CPU under EDF at action
 // granularity and returns per-task traces.
 func Run(tasks []*Task) (*Result, error) {

@@ -155,64 +155,6 @@ func TestEDFPrefersEarlierDeadline(t *testing.T) {
 	}
 }
 
-func TestRunGroupsMatchesSerialRuns(t *testing.T) {
-	sys := uniformSystem(20, 100, 5000, 4)
-	mkGroup := func(name string, seedA, seedB uint64) group {
-		mk := func(tname string, seed uint64) *Task {
-			return &Task{Name: tname, Sys: sys, Mgr: core.NewNumericManager(sys),
-				Exec: sim.Uniform{Sys: sys, Seed: seed}, Cycles: 3}
-		}
-		return group{Name: name, Tasks: []*Task{mk("a", seedA), mk("b", seedB)}}
-	}
-	groups := []group{mkGroup("g0", 1, 2), mkGroup("g1", 3, 4), mkGroup("g2", 5, 6)}
-	parallel, err := runGroups(groups, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, g := range []group{mkGroup("g0", 1, 2), mkGroup("g1", 3, 4), mkGroup("g2", 5, 6)} {
-		serial, err := Run(g.Tasks)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := parallel[g.Name]
-		if got.Final != serial.Final || got.TotalMisses() != serial.TotalMisses() {
-			t.Fatalf("group %s diverges from serial run", g.Name)
-		}
-		for name, str := range serial.Traces {
-			gtr := got.Traces[name]
-			if len(gtr.Records) != len(str.Records) {
-				t.Fatalf("group %s task %s record count differs", g.Name, name)
-			}
-			for i := range gtr.Records {
-				if gtr.Records[i] != str.Records[i] {
-					t.Fatalf("group %s task %s record %d differs", g.Name, name, i)
-				}
-			}
-		}
-	}
-}
-
-func TestRunGroupsValidation(t *testing.T) {
-	if _, err := runGroups(nil, 2); err == nil {
-		t.Fatal("empty group list must be rejected")
-	}
-	sys := uniformSystem(5, 100, 2000, 3)
-	mk := func(name string) group {
-		return group{Name: name, Tasks: []*Task{{Name: "t", Sys: sys,
-			Mgr: core.NewNumericManager(sys), Exec: sim.Average{Sys: sys}, Cycles: 1}}}
-	}
-	if _, err := runGroups([]group{mk("g"), mk("g")}, 2); err == nil {
-		t.Fatal("duplicate group names must be rejected")
-	}
-	if _, err := runGroups([]group{{Name: "", Tasks: mk("x").Tasks}}, 1); err == nil {
-		t.Fatal("empty group name must be rejected")
-	}
-	bad := group{Name: "bad", Tasks: []*Task{{Name: "nope"}}}
-	if _, err := runGroups([]group{mk("ok"), bad}, 2); err == nil {
-		t.Fatal("task validation errors must surface")
-	}
-}
-
 // TestTaskSinkMatchesRetainedRun: a task run under a sink must leave
 // its trace record-free while the sink observes the identical record
 // sequence a retained run stores — the sim.Runner sink contract carried

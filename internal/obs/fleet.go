@@ -11,7 +11,7 @@ package obs
 // work-distribution counters.
 //
 // Serial-order metrics are pure functions of the run's serial event
-// order — property-tested identical at any (workers, batch, lookahead).
+// order — property-tested identical at any (workers, batch).
 // The scheduler metrics describe how this particular shape interleaved
 // and are tagged shape-dependent in the registry.
 type FleetMetrics struct {
@@ -30,9 +30,7 @@ type FleetMetrics struct {
 	Batches        *Counter   // cycle batches claimed and advanced by workers
 	Steals         *Counter   // slots claimed outside the worker's own slot range
 	Parks          *Counter   // workers parked with nothing claimable
-	OverflowParks  *Counter   // workers parked on a full completion ring
 	BlockingDrains *Counter   // frontier blocked on a completion to clear a bound gate
-	RingHighWater  *Gauge     // completion-ring occupancy high-water
 	FlushSize      *Histogram // ready slots per lookahead flush
 }
 
@@ -56,9 +54,7 @@ func NewFleetMetrics(r *Registry) *FleetMetrics {
 		Batches:        r.Counter("sched_batches", "Cycle batches claimed and advanced by workers.", ShapeDependent),
 		Steals:         r.Counter("sched_steals", "Slots claimed outside the claiming worker's own slot range.", ShapeDependent),
 		Parks:          r.Counter("sched_parks", "Worker park transitions with nothing claimable.", ShapeDependent),
-		OverflowParks:  r.Counter("sched_overflow_parks", "Worker parks on a full completion ring.", ShapeDependent),
 		BlockingDrains: r.Counter("sched_blocking_drains", "Frontier waits for a completion to clear a departure-bound gate.", ShapeDependent),
-		RingHighWater:  r.Gauge("sched_ring_occupancy_max", "Per-worker completion-ring occupancy high-water.", ShapeDependent),
 		FlushSize:      r.Histogram("sched_flush_streams", "Ready slots published per lookahead flush.", ShapeDependent, flushBounds),
 	}
 }

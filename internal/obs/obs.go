@@ -12,10 +12,10 @@
 // tagged per metric in the registry:
 //
 //   - SerialOrder: a pure function of the run's serial event order —
-//     identical at any (workers, batch, lookahead) shape. Admissions,
-//     sheds, backlog accounting.
+//     identical at any (workers, batch) shape. Admissions, sheds,
+//     backlog accounting.
 //   - ShapeDependent: an artifact of how the scheduler happened to
-//     interleave — steals, parks, ring occupancy — or of the wall
+//     interleave — steals, parks, flush sizes — or of the wall
 //     clock (checkpoint encode time). Real signals for tuning, but not
 //     reproducible across shapes.
 //
@@ -104,7 +104,7 @@ func (g *Gauge) Set(v int64) {
 }
 
 // SetMax raises the gauge to v if v exceeds the stored value — the
-// high-water update used for ring occupancy and backlog peaks.
+// high-water update used for backlog peaks.
 //
 //detlint:hotpath
 func (g *Gauge) SetMax(v int64) {

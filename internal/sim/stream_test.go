@@ -64,49 +64,3 @@ func TestStreamPrefixIsShorterRun(t *testing.T) {
 		t.Fatal("2-step prefix trace differs from a 2-cycle run")
 	}
 }
-
-func TestDispatchCoversAllIndices(t *testing.T) {
-	for _, workers := range []int{-1, 0, 1, 3, 7, 64} {
-		n := 53
-		hits := make([]int, n)
-		Dispatch(n, workers, func(i int) { hits[i]++ })
-		for i, h := range hits {
-			if h != 1 {
-				t.Fatalf("workers=%d: index %d ran %d times", workers, i, h)
-			}
-		}
-	}
-	Dispatch(0, 4, func(int) { t.Fatal("fn must not run for n=0") })
-}
-
-func TestSweepWorkersMatchesSweep(t *testing.T) {
-	mk := func() []sweepPoint {
-		return []sweepPoint{
-			{Label: "a", Runner: streamRunner(7)},
-			{Label: "b", Runner: streamRunner(8)},
-			{Label: "bad"},
-			{Label: "c", Runner: streamRunner(9)},
-		}
-	}
-	base := sweep(mk())
-	for _, workers := range []int{1, 2, 8} {
-		got := sweepWorkers(mk(), workers)
-		if len(got) != len(base) {
-			t.Fatal("result length mismatch")
-		}
-		for i := range got {
-			if got[i].Label != base[i].Label {
-				t.Fatalf("workers=%d: label order changed", workers)
-			}
-			if (got[i].Err == nil) != (base[i].Err == nil) {
-				t.Fatalf("workers=%d: error mismatch at %q", workers, got[i].Label)
-			}
-			if got[i].Err != nil {
-				continue
-			}
-			if !reflect.DeepEqual(got[i].Trace, base[i].Trace) {
-				t.Fatalf("workers=%d: trace %q differs", workers, got[i].Label)
-			}
-		}
-	}
-}
