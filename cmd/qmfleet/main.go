@@ -439,9 +439,11 @@ func main() {
 }
 
 // runCheckpointed is the crash-safe form of the open stats run: it
-// snapshots into a checkpoint.Store every `every` event groups and,
-// when resume is set, first reloads the newest valid snapshot whose
-// fingerprint matches this invocation. The fingerprint covers
+// appends a record to the directory's checkpoint log every `every`
+// event groups and, when resume is set, first folds the log into the
+// newest valid snapshot whose fingerprint matches this invocation.
+// Without resume, the directory must hold no checkpoints, so a fresh
+// run never adopts or overwrites another run's. The fingerprint covers
 // everything that determines results — mix, population, cycles, seed,
 // arrival process, admission policy — but not -workers/-batch, which
 // only change wall-clock time: a snapshot taken at one scheduler shape
@@ -451,6 +453,15 @@ func runCheckpointed(cfg fleet.OpenConfig, dir string, every int64, resume bool,
 		return nil, err
 	}
 	store := &checkpoint.Store{Dir: dir, Logf: log.Printf, Met: cmet}
+	if !resume {
+		empty, err := store.Empty()
+		if err != nil {
+			return nil, err
+		}
+		if !empty {
+			return nil, fmt.Errorf("checkpoint directory %s already holds checkpoints; pass -resume to continue from them, or use an empty directory", dir)
+		}
+	}
 	fp := checkpoint.Fingerprint("qmfleet", doc.Label,
 		strconv.Itoa(doc.Streams), strconv.Itoa(doc.Cycles),
 		strconv.FormatUint(doc.Seed, 10), doc.Arrivals, doc.Admission)
@@ -492,7 +503,11 @@ func buildProcess(spec string, cfg *fleet.OpenConfig, rate, burst float64, seed 
 			return nil, err
 		}
 		defer f.Close()
-		return arrivals.ReadCSV(f)
+		tr, err := arrivals.ReadCSV(f)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", path, err)
+		}
+		return tr, nil
 	}
 	// Go leaves the conversion of an out-of-range float to an integer to
 	// the implementation, so a gap or dwell past TimeInf is rejected first.

@@ -2,7 +2,10 @@ package main
 
 import (
 	"errors"
+	"fmt"
 	"io/fs"
+	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -11,6 +14,7 @@ import (
 	"repro/internal/arrivals"
 	"repro/internal/core"
 	"repro/internal/fleet"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -85,5 +89,55 @@ func TestBuildProcess(t *testing.T) {
 				t.Fatalf("buildProcess(%q) = %#v, want %#v", tc.spec, got, tc.want)
 			}
 		})
+	}
+}
+
+// TestCheckpointDirRefusedWithoutResume: a run that does not resume must
+// not adopt or overwrite another run's checkpoints, so it refuses a
+// directory that holds a checkpoint log, naming the directory and the
+// way out; with -resume the same directory continues to the same
+// result.
+func TestCheckpointDirRefusedWithoutResume(t *testing.T) {
+	sys := core.RandomSystem(rand.New(rand.NewSource(5)), core.RandomSystemConfig{Actions: 12, DeadlineEvery: 3})
+	var cfg fleet.OpenConfig
+	for k := 0; k < 10; k++ {
+		cfg.Streams = append(cfg.Streams, fleet.Stream{Name: fmt.Sprintf("s%d", k), Runner: sim.Runner{
+			Sys: sys, Mgr: core.NewNumericManager(sys), Exec: sim.Content{Sys: sys, NoiseAmp: 0.3, Seed: uint64(k)},
+			Overhead: sim.IPodOverhead, Cycles: 2,
+		}})
+		cfg.Arrivals = append(cfg.Arrivals, core.Time(k)*5*core.Millisecond)
+	}
+	cfg.Admit, cfg.Workers = fleet.CapK{K: 2, Queue: -1}, 1
+	doc := &metrics.FleetDoc{Label: "t", Streams: 10, Cycles: 2, Arrivals: "fixed", Admission: cfg.Admit.Name()}
+	dir := filepath.Join(t.TempDir(), "ck")
+
+	first, err := runCheckpointed(cfg, dir, 2, false, doc, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := runCheckpointed(cfg, dir, 2, false, doc, nil); err == nil || !strings.Contains(err.Error(), dir) || !strings.Contains(err.Error(), "-resume") {
+		t.Fatalf("a fresh run over a used directory: %v, want an error naming it and -resume", err)
+	}
+	again, err := runCheckpointed(cfg, dir, 2, true, doc, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(first.OpenObservations, again.OpenObservations) {
+		t.Fatal("the resumed run's lifecycles differ from the first run's")
+	}
+}
+
+// TestTraceRowPastTimeInfNamesFileAndLine: an arrival trace row at or
+// past the end of simulated time fails while the trace is read, with
+// an error that names the file and the row's line.
+func TestTraceRowPastTimeInfNamesFileAndLine(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "huge.csv")
+	if err := os.WriteFile(path, []byte("0\n3000000000000000000\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg := &fleet.OpenConfig{Streams: []fleet.Stream{{Name: "ref", Runner: sim.Runner{Period: core.Millisecond}}}}
+	_, err := buildProcess("trace:"+path, cfg, 1, 4, 7)
+	if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "line 2") {
+		t.Fatalf("buildProcess over a past-the-end row = %v, want an error naming %s and line 2", err, path)
 	}
 }

@@ -44,18 +44,25 @@
 // no-op by the controller package's reload property.
 //
 // With -state, the daemon checkpoints the engine every -every event
-// groups, on SIGTERM/SIGINT, and before a -kill-after exit: a
-// versioned, CRC-checked snapshot plus a content-addressed copy of
-// every bundle it has served (bundle-<hash>.json). -resume restarts
-// from the newest valid snapshot — a corrupt or torn newest snapshot
-// is logged and skipped in favour of its predecessor — replays the
-// consumed prefix of the event file against the recorded per-stream
-// bundles, and continues. -kill-after N exits with code 3 after
-// ingesting N lines (checkpoint first), the deterministic crash the
-// kill/resume checks drive. Snapshots are written off the serving
-// goroutine, at most one at a time; one is durable once its checkpoint
-// line is logged, and a signal or -kill-after exits only after the last
-// write has committed.
+// groups, on SIGTERM/SIGINT, and before a -kill-after exit, into the
+// directory's checkpoint log (checkpoint.log), and keeps a
+// content-addressed copy of every bundle it has served
+// (bundle-<hash>.json). Each checkpoint appends one versioned,
+// CRC-checked record holding what changed since the last: the streams
+// that closed, the bundles activated, the bundle of each newly fed
+// stream, and the complete open state. The first checkpoint creates the
+// log. A run without -resume refuses a directory that already holds
+// checkpoints. -resume folds the log into the newest whole record — a
+// torn or corrupt tail is logged and dropped, and cut off before the
+// next append — replays the consumed prefix of the event file against
+// the recorded per-stream bundles, and continues; with no usable record
+// it starts a new log. A directory written before the log (format
+// version 1, snap-*.ckpt files) fails -resume with an error naming the
+// version. -kill-after N exits with code 3 after ingesting N lines
+// (checkpoint first), the deterministic crash the kill/resume checks
+// drive. Checkpoints are written off the serving goroutine, at most one
+// at a time; one is durable once its checkpoint line is logged, and a
+// signal or -kill-after exits only after the last write has committed.
 package main
 
 import (
@@ -157,6 +164,7 @@ type config struct {
 	bundle    string // startup bundle
 	events    string // event file, named in the report
 	state     string // checkpoint directory ("" = no snapshots)
+	resume    bool   // continue the log in state; without it, state must hold none
 	manager   string
 	admit     fleet.Admitter
 	workers   int
@@ -227,7 +235,7 @@ func main() {
 		log.Fatal(err)
 	}
 	d, err := newDaemon(config{
-		bundle: *bundlePath, events: *eventsPath, state: *stateDir,
+		bundle: *bundlePath, events: *eventsPath, state: *stateDir, resume: *resume,
 		manager: *manager, admit: admit, workers: *workers, batch: *batch,
 		maxLevels: *maxLevels, noise: *noise, trace: *tracePath != "",
 	})
@@ -312,11 +320,21 @@ func newDaemon(cfg config) (*daemon, error) {
 		return nil, err
 	}
 	if cfg.state != "" {
+		store := &checkpoint.Store{Dir: cfg.state, Logf: log.Printf, Met: cmet}
+		if !cfg.resume {
+			empty, err := store.Empty()
+			if err != nil {
+				return nil, err
+			}
+			if !empty {
+				return nil, fmt.Errorf("state directory %s already holds checkpoints; pass -resume to continue from them, or use an empty directory", cfg.state)
+			}
+		}
 		if err := os.MkdirAll(cfg.state, 0o755); err != nil {
 			return nil, err
 		}
 		d.stateDir = cfg.state
-		d.store = &checkpoint.Store{Dir: cfg.state, Logf: log.Printf, Met: cmet}
+		d.store = store
 		if err := d.retain(boot, bootHash); err != nil {
 			return nil, err
 		}
@@ -521,12 +539,15 @@ func (d *daemon) checkpointNow(why string) {
 	if err != nil {
 		log.Fatalf("checkpoint (%s): %v", why, err)
 	}
+	// Both lists only grow and an entry is never rewritten, so the
+	// snapshot shares them as they stand; the store writes only the
+	// entries its log does not hold yet.
 	snap := &checkpoint.Snapshot{
 		Meta: checkpoint.Meta{
 			Fingerprint:   d.fp,
 			ArrivalCursor: d.ingested,
-			BundleHashes:  append([]uint64(nil), d.order...),
-			StreamBundle:  append([]int32(nil), d.bundleOf...),
+			BundleHashes:  d.order[:len(d.order):len(d.order)],
+			StreamBundle:  d.bundleOf[:len(d.bundleOf):len(d.bundleOf)],
 		},
 		Capture: cap,
 	}

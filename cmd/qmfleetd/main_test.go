@@ -189,6 +189,7 @@ func drillConfig(t *testing.T) (config, int) {
 // (workers, batch_cycles) removed.
 func serveOnce(t *testing.T, cfg config, resume bool, every int64, killAfter int) (end int, res *fleet.OpenResult, out, doc string) {
 	t.Helper()
+	cfg.resume = resume
 	d, err := newDaemon(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -420,4 +421,69 @@ func FuzzEventDecode(f *testing.F) {
 			t.Fatalf("arrival %+v built stream %q with %d cycles (validate: %v)", ev, s.Name, s.Cycles, s.Runner.Validate())
 		}
 	})
+}
+
+// TestFreshRunRefusesUsedStateDir: a run without -resume must not adopt
+// another run's checkpoints, so it refuses a state directory that holds
+// a checkpoint log, naming the directory and the way out, before it
+// writes anything. With -resume and no usable record in the log, the
+// run starts a new log, which a later resume then continues.
+func TestFreshRunRefusesUsedStateDir(t *testing.T) {
+	cfg, _ := drillConfig(t)
+	cfg.state = filepath.Join(t.TempDir(), "state")
+	if end, _, _, _ := serveOnce(t, cfg, false, 3, 6); end != killed {
+		t.Fatalf("first run ended with %d, want killed", end)
+	}
+	_, err := newDaemon(cfg)
+	if err == nil || !strings.Contains(err.Error(), cfg.state) || !strings.Contains(err.Error(), "-resume") {
+		t.Fatalf("a fresh run over a used state directory: %v, want an error naming it and -resume", err)
+	}
+
+	// A log with no whole record is no checkpoint to resume from: the
+	// resumed run starts over and writes a new log in its place.
+	log := filepath.Join(cfg.state, "checkpoint.log")
+	if err := os.WriteFile(log, []byte("not a checkpoint log"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := drillReport(t, cfg)
+	if end, _, got, _ := serveOnce(t, cfg, true, 3, 0); end != drained || got != want {
+		t.Fatalf("resume over an unusable log ended with %d and report\n%s\nwant\n%s", end, got, want)
+	}
+	if _, _, got, _ := serveOnce(t, cfg, true, 3, 0); got != want {
+		t.Fatalf("resume of the new log: report\n%s\nwant\n%s", got, want)
+	}
+}
+
+// drillReport serves cfg's event file without checkpoints and returns
+// the printed report and the JSON document.
+func drillReport(t *testing.T, cfg config) (string, string) {
+	t.Helper()
+	cfg.state = ""
+	_, _, out, doc := serveOnce(t, cfg, false, 3, 0)
+	return out, doc
+}
+
+// TestResumeRejectsV1Snapshots: a state directory written before the
+// checkpoint log holds snapshot files of format version 1. Resuming it
+// must fail with an error naming the version, not start fresh over it.
+func TestResumeRejectsV1Snapshots(t *testing.T) {
+	cfg, _ := drillConfig(t)
+	cfg.state = t.TempDir()
+	if err := os.WriteFile(filepath.Join(cfg.state, "snap-00000000000000000012.ckpt"), []byte("QMFCKPT\x00\x01\x00\x00\x00"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg.resume = true
+	d, err := newDaemon(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.live.Abort()
+	f, err := os.Open(cfg.events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := d.tryResume(newEventScanner(f)); err == nil || !strings.Contains(err.Error(), "format version 1") {
+		t.Fatalf("tryResume over version-1 snapshots = %v, want an error naming format version 1", err)
+	}
 }

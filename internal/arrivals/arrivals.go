@@ -181,13 +181,17 @@ type Trace struct {
 }
 
 // NewTrace builds a replay process from the given instants. Negative
-// instants are rejected; the input is copied and sorted.
+// instants and instants at or past core.TimeInf are rejected; the input
+// is copied and sorted.
 func NewTrace(instants []core.Time) (*Trace, error) {
 	out := make([]core.Time, len(instants))
 	copy(out, instants)
 	slices.Sort(out)
 	if len(out) > 0 && out[0] < 0 {
 		return nil, fmt.Errorf("arrivals: trace has a negative instant %v", out[0])
+	}
+	if len(out) > 0 && out[len(out)-1] >= core.TimeInf {
+		return nil, fmt.Errorf("arrivals: trace has an instant at or past the end of simulated time (%v)", time.Duration(core.TimeInf).Round(time.Second))
 	}
 	return &Trace{instants: out}, nil
 }
@@ -221,6 +225,7 @@ func (p *Trace) Times(n int) ([]core.Time, error) {
 // skipped.
 func ReadCSV(r io.Reader) (*Trace, error) {
 	var fields []string
+	var lines []int // the input line of each field
 	seconds := false
 	sc := bufio.NewScanner(r)
 	line, rows := 0, 0
@@ -248,6 +253,7 @@ func ReadCSV(r io.Reader) (*Trace, error) {
 			seconds = true
 		}
 		fields = append(fields, field)
+		lines = append(lines, line)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("arrivals: %w", err)
@@ -259,7 +265,7 @@ func ReadCSV(r io.Reader) (*Trace, error) {
 	for i, field := range fields {
 		t, err := parseInstant(field, seconds)
 		if err != nil {
-			return nil, fmt.Errorf("arrivals: %w", err)
+			return nil, fmt.Errorf("arrivals: line %d: %w", lines[i], err)
 		}
 		instants[i] = t
 	}
@@ -283,6 +289,9 @@ func parseInstant(field string, seconds bool) (core.Time, error) {
 		if err != nil {
 			return 0, fmt.Errorf("bad arrival instant %q", field)
 		}
+		if core.Time(v) >= core.TimeInf {
+			return 0, pastTimeInf(field)
+		}
 		return core.Time(v), nil
 	}
 	v, err := strconv.ParseFloat(field, 64)
@@ -292,10 +301,19 @@ func parseInstant(field string, seconds bool) (core.Time, error) {
 	// Go leaves the conversion of an out-of-range float to an integer to
 	// the implementation, so such an instant is rejected before it.
 	ticks := math.Round(v * float64(core.Second))
-	if ticks >= math.MaxInt64 || ticks < math.MinInt64 {
+	if ticks >= float64(core.TimeInf) {
+		return 0, pastTimeInf(field)
+	}
+	if ticks < math.MinInt64 {
 		return 0, fmt.Errorf("arrival instant %q is out of range", field)
 	}
 	return core.Time(ticks), nil
+}
+
+// pastTimeInf rejects an instant at or past core.TimeInf, the end of
+// simulated time, which no stream can arrive at.
+func pastTimeInf(field string) error {
+	return fmt.Errorf("arrival instant %q is out of range: at or past the end of simulated time (%v)", field, time.Duration(core.TimeInf).Round(time.Second))
 }
 
 func validate(n int) error {

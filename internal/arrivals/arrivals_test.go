@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -224,6 +225,25 @@ func TestReadCSV(t *testing.T) {
 	if _, err := ReadCSV(strings.NewReader("1e10\n")); err == nil || !strings.Contains(err.Error(), "out of range") {
 		t.Fatalf("out-of-range instant: err = %v", err)
 	}
+	// No stream can arrive at or past TimeInf, the end of simulated
+	// time: in ticks or in seconds that round to it, the row is an error
+	// that names its line.
+	for _, tc := range []struct{ in, line string }{
+		{"0\n3000000000000000000\n", "line 2"},
+		{"0\n" + strconv.FormatInt(int64(core.TimeInf), 10) + "\n", "line 2"},
+		{"# end\n0.5\n2305843009.2139\n", "line 3"},
+	} {
+		if _, err := ReadCSV(strings.NewReader(tc.in)); err == nil || !strings.Contains(err.Error(), tc.line) ||
+			!strings.Contains(err.Error(), "end of simulated time") {
+			t.Fatalf("%q: err = %v, want a past-the-end error naming %s", tc.in, err, tc.line)
+		}
+	}
+	if _, err := ReadCSV(strings.NewReader(strconv.FormatInt(int64(core.TimeInf)-1, 10) + "\n")); err != nil {
+		t.Fatalf("the last instant before TimeInf: %v", err)
+	}
+	if _, err := NewTrace([]core.Time{0, core.TimeInf}); err == nil {
+		t.Fatal("NewTrace accepted an instant at TimeInf")
+	}
 
 	// A corrupted first data row is an error, not a header: the header
 	// heuristic must not silently drop an arrival whose value merely
@@ -252,6 +272,8 @@ func FuzzReadCSV(f *testing.F) {
 		"NaN\n",
 		"arrival\n",
 		"",
+		"0\n3000000000000000000\n",
+		"2305843009.2139\n",
 	} {
 		f.Add(in)
 	}
@@ -266,6 +288,11 @@ func FuzzReadCSV(f *testing.F) {
 		got, err := tr.Times(tr.Len())
 		if err != nil {
 			t.Fatal(err)
+		}
+		for _, at := range got {
+			if at >= core.TimeInf {
+				t.Fatalf("%q read as %v, past the end of simulated time", in, got)
+			}
 		}
 		var ticks strings.Builder
 		for _, at := range got {

@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -91,6 +92,24 @@ func compareResults(t *testing.T, label string, want, got *fleet.OpenResult) {
 	}
 }
 
+// copyCapture returns what c holds, with its closed streams copied out
+// of the run that took it, so it compares with a decoded capture.
+func copyCapture(c *fleet.OpenCapture) *fleet.OpenCapture {
+	out := &fleet.OpenCapture{
+		Events: c.Events, Streams: c.Streams, NextArrival: c.NextArrival,
+		InService: c.InService, CPULoad: c.CPULoad,
+		FirstArrival: c.FirstArrival, LastT: c.LastT, LastDep: c.LastDep,
+		BacklogIntegral: c.BacklogIntegral, MaxBacklog: c.MaxBacklog,
+		Backlog: c.Backlog, Departures: c.Departures, Live: c.Live,
+	}
+	for i := 0; i < c.NumClosed(); i++ {
+		cs := c.ClosedAt(i)
+		cs.Sink.QualityHist = append([]int(nil), cs.Sink.QualityHist...)
+		out.Closed = append(out.Closed, cs)
+	}
+	return out
+}
+
 // TestSnapshotRoundTrip: Encode then Decode reproduces the snapshot
 // exactly — every cursor, accumulator and histogram, bit-for-bit — and
 // the decoded capture resumes to the same result as the in-memory one.
@@ -118,8 +137,9 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(snap, got) {
-		t.Fatalf("decoded snapshot differs from the encoded one:\n%+v\n%+v", snap, got)
+	want := &Snapshot{Meta: snap.Meta, Capture: copyCapture(cap)}
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("decoded snapshot differs from the encoded one:\n%+v\n%+v", want, got)
 	}
 
 	rcfg := cfg
@@ -135,17 +155,18 @@ func TestSnapshotRoundTrip(t *testing.T) {
 // only; a capture smuggling retained records is a caller bug and must
 // be an error, not silent data loss.
 func TestEncodeRejectsRetainedRecords(t *testing.T) {
-	cap := captureMidRun(t, testConfig(t, 12, 33), 3)
-	if len(cap.Live) == 0 && len(cap.Done) == 0 {
-		t.Fatal("capture has no per-stream entries to corrupt")
+	withRecords := []sim.Record{{}}
+	live := captureMidRun(t, testConfig(t, 12, 33), 3)
+	if len(live.Live) == 0 {
+		t.Fatal("capture has no live stream to corrupt")
 	}
-	if len(cap.Live) > 0 {
-		cap.Live[0].Trace.Records = []sim.Record{{}}
-	} else {
-		cap.Done[0].Trace.Records = []sim.Record{{}}
-	}
-	if err := Encode(&bytes.Buffer{}, &Snapshot{Capture: cap}); err == nil || !strings.Contains(err.Error(), "records") {
-		t.Fatalf("Encode accepted a capture with retained records (err=%v)", err)
+	live.Live[0].Trace.Records = withRecords
+	closed := captureMidRun(t, testConfig(t, 12, 33), 3)
+	closed.Closed = append(closed.Closed, fleet.ClosedStream{Trace: sim.Trace{Records: withRecords}})
+	for _, cap := range []*fleet.OpenCapture{live, closed} {
+		if err := Encode(&bytes.Buffer{}, &Snapshot{Capture: cap}); err == nil || !strings.Contains(err.Error(), "records") {
+			t.Fatalf("Encode accepted a capture with retained records (err=%v)", err)
+		}
 	}
 }
 
@@ -278,97 +299,112 @@ func TestAtomicFileCommitAbort(t *testing.T) {
 	}
 }
 
-// TestStoreFallback: the store's recovery ladder. The newest snapshot
-// is corrupted on disk (a flipped bit) and the one below it belongs to
-// a different run; LoadLatest must log both skips and land on the
-// newest valid, matching snapshot.
-func TestStoreFallback(t *testing.T) {
-	cfg := testConfig(t, 14, 41)
-	cap := captureMidRun(t, cfg, 4)
-	fp := Fingerprint("run")
+// captures runs cfg at workers=1 and returns its capture at every
+// `every` boundaries — successive checkpoints of one run.
+func captures(t testing.TB, cfg fleet.OpenConfig, every int64) []*fleet.OpenCapture {
+	t.Helper()
+	cfg.Workers = 1
+	var caps []*fleet.OpenCapture
+	if _, err := fleet.OpenRunStatsCheckpointed(cfg, nil, every, func(c *fleet.OpenCapture) error {
+		caps = append(caps, c)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return caps
+}
 
-	var logged []string
-	st := &Store{Dir: t.TempDir(), Keep: -1,
-		Logf: func(f string, a ...any) { logged = append(logged, fmt.Sprintf(f, a...)) }}
-
-	mk := func(events int64, fingerprint string) string {
-		c := *cap
-		c.Events = events
-		path, err := st.Save(&Snapshot{Meta: Meta{Fingerprint: fingerprint}, Capture: &c})
+// saveAll saves the captures in order into a store of a fresh directory
+// and returns the store, the log's length after each record, and the
+// log's bytes. The second bundle activation comes with the second
+// record.
+func saveAll(t testing.TB, fp string, caps []*fleet.OpenCapture) (*Store, []int64, []byte) {
+	t.Helper()
+	st := &Store{Dir: t.TempDir()}
+	var ends []int64
+	for i, c := range caps {
+		meta := Meta{Fingerprint: fp, ArrivalCursor: c.NextArrival, BundleHashes: []uint64{7, 9}[:min(i, 1)+1]}
+		if _, err := st.Save(&Snapshot{Meta: meta, Capture: c}); err != nil {
+			t.Fatal(err)
+		}
+		fi, err := os.Stat(st.Path())
 		if err != nil {
 			t.Fatal(err)
 		}
-		return path
+		ends = append(ends, fi.Size())
 	}
-	want := mk(10, fp)
-	mk(20, "other-run")
-	newest := mk(30, fp)
-
-	raw, err := os.ReadFile(newest)
+	raw, err := os.ReadFile(st.Path())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(newest, newFaultPlan(3).BitFlip(raw), 0o644); err != nil {
+	return st, ends, raw
+}
+
+// TestStoreFallback: the store's recovery ladder. A bit flipped in the
+// newest record drops that record, and LoadLatest lands on the one
+// before, logging the drop; a log of another run (its fingerprint
+// differs) and a missing log are fresh starts.
+func TestStoreFallback(t *testing.T) {
+	caps := captures(t, testConfig(t, 14, 41), 4)[:3]
+	st, ends, raw := saveAll(t, "run", caps)
+	flipped := append(slices.Clone(raw[:ends[1]]), newFaultPlan(3).BitFlip(raw[ends[1]:])...)
+	if err := os.WriteFile(st.Path(), flipped, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	s, path, err := st.LoadLatest(fp)
+	var logged []string
+	st = &Store{Dir: st.Dir, Logf: func(f string, a ...any) { logged = append(logged, fmt.Sprintf(f, a...)) }}
+	s, path, err := st.LoadLatest("run")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s == nil || path != want || s.Capture.Events != 10 {
-		t.Fatalf("fallback landed on %q (snap=%v), want %q", path, s, want)
+	if s == nil || path != st.Path() || s.Capture.Events != caps[1].Events {
+		t.Fatalf("fallback landed on %q (snap=%v), want the record at %d events", path, s, caps[1].Events)
 	}
-	if len(logged) != 2 {
-		t.Fatalf("expected 2 skip log lines, got %d: %v", len(logged), logged)
+	if len(logged) != 1 {
+		t.Fatalf("expected 1 drop log line, got %d: %v", len(logged), logged)
 	}
 
-	if s, path, err := (&Store{Dir: t.TempDir()}).LoadLatest(fp); s != nil || path != "" || err != nil {
+	if s, path, err := st.LoadLatest("other-run"); s != nil || path != "" || err != nil || len(logged) != 3 {
+		t.Fatalf("a log of another run must be a logged fresh start, got %v %q %v (%d lines)", s, path, err, len(logged))
+	}
+	if s, path, err := (&Store{Dir: t.TempDir()}).LoadLatest("run"); s != nil || path != "" || err != nil {
 		t.Fatalf("empty store must be a clean fresh start, got %v %q %v", s, path, err)
 	}
 }
 
-// TestStoreMetrics: a Store with Met wired counts snapshots written,
-// bytes encoded, encode latency observations, prunes and LoadLatest
-// fallbacks — the counters qmfleetd's /metrics and /healthz read.
+// TestStoreMetrics: a Store with Met wired counts records written,
+// bytes encoded, encode latency observations and LoadLatest fallbacks —
+// the counters qmfleetd's /metrics and /healthz read.
 func TestStoreMetrics(t *testing.T) {
-	cap := captureMidRun(t, testConfig(t, 12, 53), 4)
+	caps := captures(t, testConfig(t, 12, 53), 4)[:3]
 	reg := obs.NewRegistry("t")
 	var clock int64
 	met := obs.NewCheckpointMetrics(reg, func() int64 { clock += 1000; return clock })
-	st := &Store{Dir: t.TempDir(), Keep: 2, Met: met}
-	var paths []string
-	for _, ev := range []int64{5, 15, 25} {
-		c := *cap
-		c.Events = ev
-		path, err := st.Save(&Snapshot{Meta: Meta{Fingerprint: "f"}, Capture: &c})
-		if err != nil {
+	st := &Store{Dir: t.TempDir(), Met: met}
+	for _, c := range caps {
+		if _, err := st.Save(&Snapshot{Meta: Meta{Fingerprint: "f"}, Capture: c}); err != nil {
 			t.Fatal(err)
 		}
-		paths = append(paths, path)
 	}
 	if got := met.Snapshots.Value(); got != 3 {
 		t.Fatalf("snapshots = %d, want 3", got)
 	}
-	if got := met.Pruned.Value(); got != 1 {
-		t.Fatalf("pruned = %d, want 1 (Keep=2 over 3 saves)", got)
+	fi, err := os.Stat(st.Path())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if met.Bytes.Value() <= 0 {
-		t.Fatal("bytes counter did not advance")
+	if got := met.Bytes.Value(); got != fi.Size() {
+		t.Fatalf("bytes counter = %d, the log holds %d", got, fi.Size())
 	}
 	if got := met.Encode.Count(); got != 3 {
 		t.Fatalf("encode observations = %d, want 3", got)
 	}
-	// Corrupt the newest snapshot: the fallback walk must count it.
-	newest := paths[len(paths)-1]
-	raw, err := os.ReadFile(newest)
-	if err != nil {
+	// Tear the newest record: the load must count its drop.
+	if err := os.Truncate(st.Path(), fi.Size()-1); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(newest, newFaultPlan(3).BitFlip(raw), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if s, _, err := st.LoadLatest("f"); err != nil || s == nil || s.Capture.Events != 15 {
+	if s, _, err := st.LoadLatest("f"); err != nil || s == nil || s.Capture.Events != caps[1].Events {
 		t.Fatalf("fallback load failed: %v %v", s, err)
 	}
 	if got := met.Fallbacks.Value(); got != 1 {
@@ -376,20 +412,137 @@ func TestStoreMetrics(t *testing.T) {
 	}
 }
 
-// TestStorePrune: Save retains only the Keep newest snapshots.
-func TestStorePrune(t *testing.T) {
-	cap := captureMidRun(t, testConfig(t, 12, 43), 4)
-	st := &Store{Dir: t.TempDir(), Keep: 2}
-	for _, ev := range []int64{5, 15, 25, 35} {
-		c := *cap
-		c.Events = ev
-		if _, err := st.Save(&Snapshot{Meta: Meta{Fingerprint: "f"}, Capture: &c}); err != nil {
-			t.Fatal(err)
+// TestStoreCrashWindows drives every way a log can end short of its
+// last Save: torn at every offset of its last record, a bit flipped in
+// the last record or in a middle one, and gone. LoadLatest must return
+// the newest whole record, or nothing, and never fail; a Save after the
+// load cuts the dropped tail off and appends, so the log then folds to
+// the saved snapshot. Without a load, a Save starts a new log.
+func TestStoreCrashWindows(t *testing.T) {
+	caps := captures(t, testConfig(t, 14, 61), 3)
+	if len(caps) < 4 {
+		t.Fatalf("%d captures, want at least 4", len(caps))
+	}
+	caps = caps[:4]
+	_, ends, raw := saveAll(t, "crash", caps)
+	next := caps[3]
+
+	// check loads the log b and expects the record at index want (-1
+	// for none), then saves next on the same store and expects the log
+	// to fold to it.
+	check := func(label string, b []byte, want int) {
+		t.Helper()
+		st := &Store{Dir: t.TempDir()}
+		if b != nil {
+			if err := os.WriteFile(st.Path(), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s, _, err := st.LoadLatest("crash")
+		if err != nil {
+			t.Fatalf("%s: LoadLatest failed: %v", label, err)
+		}
+		switch {
+		case want < 0 && s != nil:
+			t.Fatalf("%s: loaded a record at %d events from a log with none whole", label, s.Capture.Events)
+		case want >= 0 && (s == nil || s.Capture.Events != caps[want].Events || s.Meta.ArrivalCursor != caps[want].NextArrival):
+			t.Fatalf("%s: loaded %v, want the record at %d events", label, s, caps[want].Events)
+		}
+		// The engine would resume from s and checkpoint again; saving the
+		// run's own later capture stands in for that.
+		if _, err := st.Save(&Snapshot{Meta: Meta{Fingerprint: "crash", ArrivalCursor: next.NextArrival, BundleHashes: []uint64{7, 9}}, Capture: next}); err != nil {
+			t.Fatalf("%s: save after the load: %v", label, err)
+		}
+		got, _, err := (&Store{Dir: st.Dir}).LoadLatest("crash")
+		if err != nil || got == nil || !reflect.DeepEqual(got.Capture, copyCapture(next)) {
+			t.Fatalf("%s: after the save the log folds to %v (%v), not to the saved capture", label, got, err)
 		}
 	}
-	names := st.list()
-	if len(names) != 2 || Events(names[0]) != 25 || Events(names[1]) != 35 {
-		t.Fatalf("prune kept %v, want the 2 newest (25, 35)", names)
+
+	last := ends[len(ends)-2]
+	for cut := last; cut < int64(len(raw)); cut++ {
+		check(fmt.Sprintf("torn at byte %d", cut), raw[:cut], 2)
+	}
+	plan := newFaultPlan(17)
+	for i, rec := range []struct {
+		from, to int64
+		want     int
+	}{{last, int64(len(raw)), 2}, {ends[0], ends[1], 0}} {
+		for j := 0; j < 16; j++ {
+			b := slices.Clone(raw)
+			copy(b[rec.from:rec.to], plan.BitFlip(b[rec.from:rec.to]))
+			check(fmt.Sprintf("bit flip %d in record %d", j, i), b, rec.want)
+		}
+	}
+	check("missing log", nil, -1)
+	check("the first record torn", raw[:ends[0]-1], -1)
+
+	// A store that has not loaded the log replaces it with a new one.
+	st := &Store{Dir: t.TempDir()}
+	if err := os.WriteFile(st.Path(), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Save(&Snapshot{Meta: Meta{Fingerprint: "crash", BundleHashes: []uint64{7}}, Capture: caps[0]}); err != nil {
+		t.Fatal(err)
+	}
+	if fi, err := os.Stat(st.Path()); err != nil || fi.Size() != ends[0] {
+		t.Fatalf("a Save without a load left a log of %v bytes (%v), want a new one of %d", fi.Size(), err, ends[0])
+	}
+}
+
+// TestLogRecordsTrackChange: a record holds what changed since the
+// record before it and the open state, so with streams arriving at a
+// steady rate no record grows with the population fed so far, and the
+// whole log is about one population's worth of closed streams: close to
+// one self-contained snapshot of the end state.
+func TestLogRecordsTrackChange(t *testing.T) {
+	const n, every = 3000, 250
+	cfg := testConfig(t, n, 67)
+	live := fleet.NewOpenLive(fleet.OpenLiveConfig{Admit: cfg.Admit, Workers: 1, MaxLevels: 64})
+	defer live.Abort()
+	st := &Store{Dir: t.TempDir()}
+	var sizes []int64
+	var end int64
+	var last *Snapshot
+	for k := range cfg.Streams {
+		if err := live.Feed(cfg.Streams[k], core.Time(k)*30*core.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		if (k+1)%every != 0 {
+			continue
+		}
+		c, err := live.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		last = &Snapshot{Meta: Meta{Fingerprint: "steady", ArrivalCursor: k + 1}, Capture: c}
+		if _, err := st.Save(last); err != nil {
+			t.Fatal(err)
+		}
+		fi, err := os.Stat(st.Path())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizes = append(sizes, fi.Size()-end)
+		end = fi.Size()
+	}
+	t.Logf("record sizes at every %d of %d streams: %v", every, n, sizes)
+	for i, size := range sizes[1:] {
+		if 4*size > 5*sizes[1] || 5*size < 4*sizes[1] {
+			t.Fatalf("record %d is %d bytes, record 1 %d: records must not grow with the population", i+1, size, sizes[1])
+		}
+	}
+	var whole bytes.Buffer
+	if err := Encode(&whole, last); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("log %d bytes, one snapshot of the end state %d", end, whole.Len())
+	if end > int64(whole.Len())*11/10 {
+		t.Fatalf("the log is %d bytes, over 110%% of one %d-byte snapshot of the end state", end, whole.Len())
+	}
+	got, _, err := (&Store{Dir: st.Dir}).LoadLatest("steady")
+	if err != nil || got == nil || !reflect.DeepEqual(got.Capture, copyCapture(last.Capture)) {
+		t.Fatalf("the log does not fold to its last snapshot (%v)", err)
 	}
 }
 
@@ -452,7 +605,7 @@ func goldenSnapshot(t testing.TB) *Snapshot {
 	cfg.Workers = 1
 	var first *fleet.OpenCapture
 	if _, err := fleet.OpenRunStatsCheckpointed(cfg, nil, 2, func(c *fleet.OpenCapture) error {
-		if first == nil && len(c.Done) > 0 && len(c.Live) > 0 {
+		if first == nil && c.NumClosed() > 0 && len(c.Live) > 0 {
 			first = c
 		}
 		return nil
@@ -473,16 +626,17 @@ func goldenSnapshot(t testing.TB) *Snapshot {
 	}
 }
 
-// TestSnapshotEncodingGolden pins the version-1 bytes: any change to the
-// encoder that is not a format change must leave them identical.
+// TestSnapshotEncodingGolden pins the version-2 bytes of one
+// self-contained record: any change to the encoder that is not a format
+// change must leave them identical.
 func TestSnapshotEncodingGolden(t *testing.T) {
 	var buf bytes.Buffer
 	if err := Encode(&buf, goldenSnapshot(t)); err != nil {
 		t.Fatal(err)
 	}
 	const (
-		wantLen = 2184
-		wantSum = "8466bd82245b12cf16b314f52ee774cd90317b7475d364246161c532f4ef5e6a"
+		wantLen = 1799
+		wantSum = "0ab240cc1613f00a6913c01206d65c8599633420f9f5182673010bbbe3d8bc96"
 	)
 	if sum := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); buf.Len() != wantLen || sum != wantSum {
 		t.Fatalf("golden snapshot is %d bytes with SHA-256 %s; want %d bytes with %s", buf.Len(), sum, wantLen, wantSum)
@@ -525,8 +679,9 @@ func TestDecodeRejectsWhatTheInputCannotHold(t *testing.T) {
 	headerOnly := wrap(nil)
 	binary.LittleEndian.PutUint64(headerOnly[12:], maxPayload)
 
-	// An empty capture's payload ends with its lifecycle, finished and
-	// live counts; the 9-byte fingerprint makes it 153 bytes.
+	// An empty capture's payload ends with its closed offset and its
+	// closed, backlog, departure and live counts; the 9-byte fingerprint
+	// makes it 177 bytes.
 	one := func(c *fleet.OpenCapture) []byte {
 		var buf bytes.Buffer
 		if err := Encode(&buf, &Snapshot{Meta: Meta{Fingerprint: "oversized"}, Capture: c}); err != nil {
@@ -534,21 +689,23 @@ func TestDecodeRejectsWhatTheInputCannotHold(t *testing.T) {
 		}
 		return buf.Bytes()[headerSize:]
 	}
-	manyLifecycles := one(&fleet.OpenCapture{})
-	if len(manyLifecycles) != 153 {
-		t.Fatalf("crafted payload is %d bytes, want 153", len(manyLifecycles))
+	manyClosed := one(&fleet.OpenCapture{})
+	if len(manyClosed) != 177 {
+		t.Fatalf("crafted payload is %d bytes, want 177", len(manyClosed))
 	}
-	binary.LittleEndian.PutUint64(manyLifecycles[len(manyLifecycles)-3*8:], 1<<24)
-	badBool := one(&fleet.OpenCapture{Lifecycles: make([]metrics.Lifecycle, 1)})
-	badBool[len(badBool)-2*8-3] = 2 // the lifecycle's Queued byte
+	binary.LittleEndian.PutUint64(manyClosed[len(manyClosed)-4*8:], 1<<24)
+	// One shed stream's lifecycle ends with its three bools, before the
+	// backlog, departure and live counts.
+	badBool := one(&fleet.OpenCapture{Closed: []fleet.ClosedStream{{Lifecycle: metrics.Lifecycle{Shed: true}}}})
+	badBool[len(badBool)-3*8-3] = 2 // the lifecycle's Queued byte
 
 	for _, tc := range []struct {
 		name  string
 		in    []byte
 		class string
 	}{
-		{"header declaring a 2^31-byte payload", headerOnly, "truncated snapshot"},
-		{"payload declaring 2^24 lifecycles", wrap(manyLifecycles), "corrupt payload"},
+		{"header declaring a 2^31-byte payload", headerOnly, "truncated record"},
+		{"payload declaring 2^24 closed streams", wrap(manyClosed), "corrupt payload"},
 		{"bool byte 2", wrap(badBool), "corrupt payload"},
 	} {
 		var before, after runtime.MemStats

@@ -1,15 +1,26 @@
 // Package checkpoint persists open-fleet runs: a versioned, checksummed
-// binary snapshot format around fleet.OpenCapture, an atomic on-disk
-// store with corrupt-fallback loading, and a deterministic
-// fault-injection harness for testing every crash window.
+// binary log of engine captures (fleet.OpenCapture), a store that
+// appends one record per checkpoint and folds the log back into one
+// snapshot on load, and a deterministic fault-injection harness for
+// testing every crash window.
 //
-// The format is defensive at two layers. The envelope — magic, version,
-// payload length, CRC-32 — catches torn, truncated and bit-flipped
-// files before a single payload byte is interpreted; the payload
-// decoder bounds-checks every read; and fleet's capture restore
-// re-validates every cross-reference against the run configuration. A
-// snapshot that fails any layer is an error, never a panic and never a
-// silently wrong resume.
+// A log is a sequence of records. Each record adds what changed since
+// the one before it — the streams that closed since, the bundle
+// activations and the stream-to-bundle bindings made since — and
+// carries the complete open state: cursors, admission state, backlog,
+// pending departures and the streams in service. A record that adds to
+// nothing is self-contained; every log starts with one. Reading folds
+// the records in order into the full snapshot of the newest.
+//
+// The format is defensive at three layers. Each record's envelope —
+// magic, version, payload length, CRC-32 — catches torn, truncated and
+// bit-flipped records before a single payload byte is interpreted; the
+// payload decoder bounds-checks every read and each record must continue
+// exactly where the fold stands; and the folded capture must be one
+// partition of its population (fleet.OpenCapture.Validate), which
+// fleet's restore checks again against the run configuration. A log
+// that fails any layer is an error, never a panic and never a silently
+// wrong resume.
 //
 //detlint:engine
 package checkpoint
@@ -17,6 +28,7 @@ package checkpoint
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -24,7 +36,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fleet"
-	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -44,29 +55,28 @@ type Meta struct {
 	// instants for a batch run): resume re-reads the source and skips
 	// exactly this many.
 	ArrivalCursor int
-	// BundleHashes lists the controller bundles live at capture time
-	// (more than one across a hot swap); StreamBundle maps each fed
-	// stream to an index in it. Empty StreamBundle means every stream
-	// used BundleHashes[0].
+	// BundleHashes lists the controller bundles activated up to capture
+	// time, in activation order (more than one across a hot swap);
+	// StreamBundle maps each fed stream to an index in it. Empty
+	// StreamBundle means every stream used BundleHashes[0]. Both lists
+	// only grow over a run, so a log record stores only their new
+	// entries.
 	BundleHashes []uint64
 	StreamBundle []int32
 }
 
-// Snapshot is one persisted checkpoint: source metadata plus the
-// engine's deep capture.
+// Snapshot is one checkpoint: source metadata plus the engine's
+// capture.
 type Snapshot struct {
 	Meta    Meta
 	Capture *fleet.OpenCapture
 }
 
-// Events returns the capture's event counter — the snapshot's position
-// on the engine's checkpoint-boundary clock and its on-disk name.
-func (s *Snapshot) Events() int64 { return s.Capture.Events }
-
 const (
-	// Version is the current snapshot format version; Decode rejects
-	// any other.
-	Version = 1
+	// Version is the current format version; a record of any other
+	// version is an error that names it. Version 1 stored each
+	// snapshot whole, in its own file.
+	Version = 2
 	// headerSize is magic + version + payload length + CRC-32.
 	headerSize = 8 + 4 + 8 + 4
 	// maxPayload bounds the declared payload length before any
@@ -74,16 +84,40 @@ const (
 	maxPayload = 1 << 31
 )
 
-// magic opens every snapshot file.
+// magic opens every record.
 var magic = [8]byte{'Q', 'M', 'F', 'C', 'K', 'P', 'T', 0}
 
-// Encode writes s to w in the versioned, CRC-wrapped binary format.
-// The engine retains no records, so a capture carrying some is a
-// caller bug and is rejected rather than silently dropped.
-// The snapshot is sized from the capture, encoded in one pass into one
-// buffer and handed to w in a single Write.
+// mark is where a log stands after a record: its length in bytes, the
+// fingerprint and event count of the record, and how many closed
+// streams, bundle activations and stream bindings the log holds. The
+// zero mark is an empty log, which a self-contained record continues.
+type mark struct {
+	size                     int64
+	fp                       string
+	events                   int64
+	closed, hashes, bindings int
+}
+
+// after returns the mark of a log that ends with a record of s.
+func after(s *Snapshot, size int64) mark {
+	return mark{size: size, fp: s.Meta.Fingerprint, events: s.Capture.Events,
+		closed: s.Capture.NumClosed(), hashes: len(s.Meta.BundleHashes), bindings: len(s.Meta.StreamBundle)}
+}
+
+// continues reports whether a record of s can follow m: s is a later
+// snapshot of the same run, holding everything the log already holds.
+func (m mark) continues(s *Snapshot) bool {
+	return s.Meta.Fingerprint == m.fp && s.Capture.Events >= m.events && s.Capture.NumClosed() >= m.closed &&
+		len(s.Meta.BundleHashes) >= m.hashes && len(s.Meta.StreamBundle) >= m.bindings
+}
+
+// Encode writes s to w as a log of one self-contained record. The
+// engine retains no records, so a capture carrying some is a caller bug
+// and is rejected rather than silently dropped. The record is sized
+// from the snapshot, encoded in one pass into one buffer and handed to
+// w in a single Write.
 func Encode(w io.Writer, s *Snapshot) error {
-	b, err := encodeSnapshot(s)
+	b, err := encodeRecord(s, mark{})
 	if err != nil {
 		return err
 	}
@@ -91,16 +125,17 @@ func Encode(w io.Writer, s *Snapshot) error {
 	return err
 }
 
-// encodeSnapshot returns s encoded, header and payload, in one buffer
-// allocated at its exact size. The header is filled in place after the
-// payload, from the bytes actually written.
-func encodeSnapshot(s *Snapshot) ([]byte, error) {
+// encodeRecord returns the record of s that follows a log at mark from,
+// header and payload, in one buffer allocated at its exact size. The
+// header is filled in place after the payload, from the bytes actually
+// written.
+func encodeRecord(s *Snapshot, from mark) ([]byte, error) {
 	if s.Capture == nil {
 		return nil, fmt.Errorf("checkpoint: snapshot without a capture")
 	}
-	e := enc{b: make([]byte, headerSize, headerSize+payloadSize(s))}
-	e.meta(&s.Meta)
-	if err := e.capture(s.Capture); err != nil {
+	e := enc{b: make([]byte, headerSize, headerSize+payloadSize(s, from))}
+	e.meta(&s.Meta, from)
+	if err := e.capture(s.Capture, from.closed); err != nil {
 		return nil, err
 	}
 	hdr, payload := e.b[:headerSize], e.b[headerSize:]
@@ -114,30 +149,35 @@ func encodeSnapshot(s *Snapshot) ([]byte, error) {
 // Encoded sizes. Every integer, float, time and count takes 8 bytes and
 // every bool 1, so a payload's size is a sum over its counts and string
 // lengths. The min* constants are the smallest encoding of one element
-// of each list (its strings and histogram empty); the decoder bounds
-// every declared count by them.
+// of each list (its strings and histogram empty, a closed stream shed);
+// the decoder bounds every declared count by them.
 const (
-	word         = 8
-	traceBytes   = 9 * word  // Manager's length, 8 scalars
-	sinkBytes    = 13 * word // 12 scalars, QualityHist's count
-	minLifecycle = 4*word + 3
-	minDone      = 2*word + traceBytes + sinkBytes
-	minLive      = 3*word + traceBytes + sinkBytes
-	minDep       = 2 * word
+	word       = 8
+	traceBytes = 9 * word  // Manager's length, 8 scalars
+	sinkBytes  = 13 * word // 12 scalars, QualityHist's count
+	minClosed  = 5*word + 3
+	minOutcome = word + traceBytes + sinkBytes // a closed stream that was admitted: Err's length, trace, sink
+	minLive    = 4*word + 1 + traceBytes + sinkBytes
+	minDep     = 2 * word
 )
 
-// payloadSize returns the exact encoded payload length of s.
-func payloadSize(s *Snapshot) int {
+// payloadSize returns the exact encoded payload length of the record of
+// s that follows mark from.
+func payloadSize(s *Snapshot, from mark) int {
 	m, c := &s.Meta, s.Capture
-	n := word + len(m.Fingerprint) + 3*word + word*(len(m.BundleHashes)+len(m.StreamBundle))
-	n += 9*word + 5*word // scalars; Backlog, Departures, Lifecycles, Done and Live counts
-	n += word*len(c.Backlog) + minDep*len(c.Departures)
-	for i := range c.Lifecycles {
-		n += minLifecycle + len(c.Lifecycles[i].Name)
-	}
-	for i := range c.Done {
-		d := &c.Done[i]
-		n += minDone + len(d.Err) + len(d.Trace.Manager) + word*len(d.Sink.QualityHist)
+	n := word + len(m.Fingerprint) + word // fingerprint, cursor
+	// Each list's offset and count, and its additions.
+	n += 4*word + word*(len(m.BundleHashes)-from.hashes+len(m.StreamBundle)-from.bindings)
+	n += 10 * word // capture scalars
+	// The closed offset; the closed, Backlog, Departures and Live counts;
+	// Backlog and Departures.
+	n += 5*word + word*len(c.Backlog) + minDep*len(c.Departures)
+	for i := from.closed; i < c.NumClosed(); i++ {
+		cs := c.ClosedAt(i)
+		n += minClosed + len(cs.Lifecycle.Name)
+		if !cs.Lifecycle.Shed {
+			n += minOutcome + len(cs.Err) + len(cs.Trace.Manager) + word*len(cs.Sink.QualityHist)
+		}
 	}
 	for i := range c.Live {
 		l := &c.Live[i]
@@ -146,70 +186,180 @@ func payloadSize(s *Snapshot) int {
 	return n
 }
 
-// Decode reads one snapshot, verifying magic, version, length and
-// checksum before interpreting a single payload byte. A short read is
-// a truncation error; a checksum mismatch names itself — the two
-// failure classes the store's fallback logic distinguishes from I/O
-// errors. Memory grows with the bytes the input actually holds, never
-// with the lengths and counts it declares.
+// record is one decoded log record: the snapshot it ends the log at,
+// except that the closed streams, bundle activations and stream
+// bindings are only those it adds, to a log that holds from of each.
+type record struct {
+	snap Snapshot
+	from mark
+}
+
+// Decode reads a whole log — a single Encode or everything a Store has
+// appended — and folds it into the snapshot of its newest record. Every
+// record must be whole and coherent and the input must end with the
+// last one: a truncated, bit-flipped or incoherent record is an error
+// (Store.LoadLatest is the reader that falls back past one). Memory
+// grows with the bytes the input actually holds, never with the lengths
+// and counts it declares.
 func Decode(r io.Reader) (*Snapshot, error) {
-	var hdr [headerSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("checkpoint: truncated snapshot header: %w", err)
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: read: %w", err)
+	}
+	s, _, err := readLog(b)
+	if err != nil {
+		return nil, err
+	}
+	if s == nil {
+		return nil, errors.New("checkpoint: truncated log: no record")
+	}
+	return s, nil
+}
+
+// readLog folds the whole, coherent records at the head of log b into
+// the snapshot of the newest one. It returns that snapshot (nil when no
+// record is whole), the length of the prefix those records span, and,
+// when the log does not end there, the reason it stops: the first
+// record that is torn, corrupt or does not continue the records before
+// it, or a newest record whose folded capture is no partition, which is
+// dropped for the one before it.
+func readLog(b []byte) (*Snapshot, int, error) {
+	var (
+		recs []*record
+		ends []int // end offset of each record
+		at   mark  // where the log stands after recs
+		stop error
+	)
+	for off := 0; off < len(b); {
+		payload, end, err := frame(b, off)
+		var r *record
+		if err == nil {
+			r, err = decodeRecord(payload)
+		}
+		if err == nil {
+			err = r.follows(at, len(recs) == 0)
+		}
+		if err != nil {
+			stop = err
+			break
+		}
+		at = r.end()
+		recs, ends = append(recs, r), append(ends, end)
+		off = end
+	}
+	// Each record continues the last; the partition is checked once, on
+	// the capture the fold ends with.
+	for n := len(recs); n > 0; n-- {
+		s := fold(recs[:n])
+		err := s.Capture.Validate()
+		if err == nil {
+			return s, ends[n-1], stop
+		}
+		start := 0
+		if n > 1 {
+			start = ends[n-2]
+		}
+		stop = fmt.Errorf("checkpoint: record at byte %d: %w", start, err)
+	}
+	return nil, 0, stop
+}
+
+// follows checks that r continues a log that stands at mark at: it
+// belongs to the same run (unless it is the first record) and adds to
+// exactly the closed streams, activations and bindings the log holds.
+func (r *record) follows(at mark, first bool) error {
+	if !first && r.snap.Meta.Fingerprint != at.fp {
+		return fmt.Errorf("checkpoint: record of fingerprint %q in a log of %q", r.snap.Meta.Fingerprint, at.fp)
+	}
+	if r.from.closed != at.closed || r.from.hashes != at.hashes || r.from.bindings != at.bindings {
+		return fmt.Errorf("checkpoint: record adds to %d closed streams, %d activations and %d bindings; the log holds %d, %d and %d",
+			r.from.closed, r.from.hashes, r.from.bindings, at.closed, at.hashes, at.bindings)
+	}
+	return nil
+}
+
+// end returns where the log stands after r (its size aside).
+func (r *record) end() mark {
+	m := after(&r.snap, 0)
+	m.closed += r.from.closed
+	m.hashes += r.from.hashes
+	m.bindings += r.from.bindings
+	return m
+}
+
+// fold returns the snapshot a log of recs ends at: the newest record's
+// cursors and open state, with every record's closed streams, bundle
+// activations and stream bindings in order, each list allocated once at
+// its length. It leaves recs untouched.
+func fold(recs []*record) *Snapshot {
+	last := recs[len(recs)-1]
+	if len(recs) == 1 {
+		return &last.snap
+	}
+	c := *last.snap.Capture
+	s := &Snapshot{Meta: last.snap.Meta, Capture: &c}
+	at := last.end()
+	s.Meta.BundleHashes = concat(recs, at.hashes, func(r *record) []uint64 { return r.snap.Meta.BundleHashes })
+	s.Meta.StreamBundle = concat(recs, at.bindings, func(r *record) []int32 { return r.snap.Meta.StreamBundle })
+	c.Closed = concat(recs, at.closed, func(r *record) []fleet.ClosedStream { return r.snap.Capture.Closed })
+	return s
+}
+
+// concat joins one list of each record into one of length n, nil when
+// n is 0, as the decoder leaves an empty list.
+func concat[T any](recs []*record, n int, list func(*record) []T) []T {
+	if n == 0 {
+		return nil
+	}
+	out := make([]T, 0, n)
+	for _, r := range recs {
+		out = append(out, list(r)...)
+	}
+	return out
+}
+
+// frame checks the record envelope at off and returns its payload and
+// the offset just past it: magic, version, a payload length within the
+// bound and within the input, and the checksum, before a single payload
+// byte is interpreted.
+func frame(b []byte, off int) ([]byte, int, error) {
+	hdr := b[off:]
+	if len(hdr) < headerSize {
+		return nil, 0, fmt.Errorf("checkpoint: truncated record header at byte %d: %d of %d bytes", off, len(hdr), headerSize)
 	}
 	if !bytes.Equal(hdr[:8], magic[:]) {
-		return nil, fmt.Errorf("checkpoint: bad magic %q", hdr[:8])
+		return nil, 0, fmt.Errorf("checkpoint: bad magic %q at byte %d", hdr[:8], off)
 	}
 	if v := binary.LittleEndian.Uint32(hdr[8:]); v != Version {
-		return nil, fmt.Errorf("checkpoint: unsupported snapshot version %d (have %d)", v, Version)
+		return nil, 0, fmt.Errorf("checkpoint: unsupported snapshot format version %d (this build reads version %d)", v, Version)
 	}
 	n := binary.LittleEndian.Uint64(hdr[12:])
 	if n > maxPayload {
-		return nil, fmt.Errorf("checkpoint: declared payload of %d bytes exceeds the %d-byte bound", n, maxPayload)
+		return nil, 0, fmt.Errorf("checkpoint: truncated record at byte %d: declared payload of %d bytes exceeds the %d-byte bound", off, n, maxPayload)
 	}
-	payload, err := readPayload(r, int(n))
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: truncated snapshot: want %d payload bytes: %w", n, err)
+	if rest := uint64(len(hdr) - headerSize); n > rest {
+		return nil, 0, fmt.Errorf("checkpoint: truncated record at byte %d: want %d payload bytes, have %d", off, n, rest)
 	}
+	payload := hdr[headerSize : headerSize+int(n)]
 	if sum, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(hdr[20:]); sum != want {
-		return nil, fmt.Errorf("checkpoint: checksum mismatch: payload hashes to %08x, header says %08x", sum, want)
+		return nil, 0, fmt.Errorf("checkpoint: checksum mismatch at byte %d: payload hashes to %08x, header says %08x", off, sum, want)
 	}
+	return payload, off + headerSize + int(n), nil
+}
+
+// decodeRecord interprets one record's checksummed payload.
+func decodeRecord(payload []byte) (*record, error) {
 	d := dec{b: payload}
-	s := &Snapshot{Capture: new(fleet.OpenCapture)}
-	d.meta(&s.Meta)
-	d.capture(s.Capture)
+	r := &record{snap: Snapshot{Capture: new(fleet.OpenCapture)}}
+	d.meta(&r.snap.Meta, &r.from)
+	d.capture(r.snap.Capture, &r.from)
 	if d.err != nil {
 		return nil, d.err
 	}
 	if d.off != len(d.b) {
 		return nil, fmt.Errorf("checkpoint: %d trailing bytes after the payload", len(d.b)-d.off)
 	}
-	return s, nil
-}
-
-// firstRead is the payload buffer's initial size; readPayload doubles
-// it each time it fills, up to the declared length.
-const firstRead = 64 << 10
-
-// readPayload reads the n payload bytes a header declares. Its buffer
-// starts at firstRead and at most doubles per round, so memory tracks
-// the bytes that actually arrive, never what a corrupt header declares.
-// A short input is io.ErrUnexpectedEOF, or io.EOF if it holds no
-// payload byte at all.
-func readPayload(r io.Reader, n int) ([]byte, error) {
-	b := make([]byte, min(n, firstRead))
-	off := 0
-	for {
-		m, err := io.ReadFull(r, b[off:])
-		off += m
-		if err == io.EOF && off > 0 {
-			err = io.ErrUnexpectedEOF
-		}
-		if err != nil || off == n {
-			return b[:off], err
-		}
-		b = append(b, make([]byte, min(n-off, off))...)
-	}
+	return r, nil
 }
 
 // enc appends the payload. All integers are little-endian; signed
@@ -234,21 +384,28 @@ func b2u(v bool) byte {
 	return 0
 }
 
-func (e *enc) meta(m *Meta) {
+// meta writes the metadata and the activations and bindings added since
+// mark from, each list behind the count the log already holds.
+func (e *enc) meta(m *Meta, from mark) {
 	e.str(m.Fingerprint)
 	e.int(m.ArrivalCursor)
-	e.count(len(m.BundleHashes))
-	for _, h := range m.BundleHashes {
+	e.count(from.hashes)
+	e.count(len(m.BundleHashes) - from.hashes)
+	for _, h := range m.BundleHashes[from.hashes:] {
 		e.u64(h)
 	}
-	e.count(len(m.StreamBundle))
-	for _, i := range m.StreamBundle {
+	e.count(from.bindings)
+	e.count(len(m.StreamBundle) - from.bindings)
+	for _, i := range m.StreamBundle[from.bindings:] {
 		e.i32(i)
 	}
 }
 
-func (e *enc) capture(c *fleet.OpenCapture) error {
+// capture writes the scalars, the streams closed after the first
+// closed, and the complete open state.
+func (e *enc) capture(c *fleet.OpenCapture, closed int) error {
 	e.i64(c.Events)
+	e.int(c.Streams)
 	e.int(c.NextArrival)
 	e.int(c.InService)
 	e.f64(c.CPULoad)
@@ -257,6 +414,28 @@ func (e *enc) capture(c *fleet.OpenCapture) error {
 	e.time(c.LastDep)
 	e.f64(c.BacklogIntegral)
 	e.int(c.MaxBacklog)
+	e.count(closed)
+	e.count(c.NumClosed() - closed)
+	for i := closed; i < c.NumClosed(); i++ {
+		cs := c.ClosedAt(i)
+		lc := &cs.Lifecycle
+		e.i32(cs.K)
+		e.str(lc.Name)
+		e.time(lc.Arrival)
+		e.time(lc.Admitted)
+		e.time(lc.Departed)
+		e.bool(lc.Queued)
+		e.bool(lc.Shed)
+		e.bool(lc.Failed)
+		if lc.Shed {
+			continue
+		}
+		e.str(cs.Err)
+		if err := e.trace(&cs.Trace); err != nil {
+			return err
+		}
+		e.sink(&cs.Sink)
+	}
 	e.count(len(c.Backlog))
 	for _, k := range c.Backlog {
 		e.i32(k)
@@ -266,31 +445,12 @@ func (e *enc) capture(c *fleet.OpenCapture) error {
 		e.time(d.T)
 		e.i32(d.K)
 	}
-	e.count(len(c.Lifecycles))
-	for i := range c.Lifecycles {
-		lc := &c.Lifecycles[i]
-		e.str(lc.Name)
-		e.time(lc.Arrival)
-		e.time(lc.Admitted)
-		e.time(lc.Departed)
-		e.bool(lc.Queued)
-		e.bool(lc.Shed)
-		e.bool(lc.Failed)
-	}
-	e.count(len(c.Done))
-	for i := range c.Done {
-		d := &c.Done[i]
-		e.i32(d.K)
-		e.str(d.Err)
-		if err := e.trace(&d.Trace); err != nil {
-			return err
-		}
-		e.sink(&d.Sink)
-	}
 	e.count(len(c.Live))
 	for i := range c.Live {
 		l := &c.Live[i]
 		e.i32(l.K)
+		e.time(l.Admitted)
+		e.bool(l.Queued)
 		e.time(l.State.T)
 		e.int(l.State.Cycle)
 		if err := e.trace(&l.Trace); err != nil {
@@ -397,9 +557,18 @@ func (d *dec) bool() bool {
 // count reads a declared element count and rejects one the rest of the
 // payload cannot hold at elem encoded bytes per element, at least: the
 // CRC already vouches for the bytes, but a logically corrupt writer
-// must not make the reader allocate more than the input carries.
+// must not make the reader allocate more than the input carries. An
+// elem of 0 reads a count of elements held elsewhere (in the records
+// before this one), bounded only to fit an int32 stream index.
 func (d *dec) count(elem int) int {
 	n := d.u64()
+	if elem == 0 {
+		if n > math.MaxInt32 {
+			d.fail("element count %d overflows int32", n)
+			return 0
+		}
+		return int(n)
+	}
 	if left := uint64(len(d.b) - d.off); n > left/uint64(elem) {
 		d.fail("element count %d needs at least %d bytes each, %d left", n, elem, left)
 		return 0
@@ -411,15 +580,19 @@ func (d *dec) str() string {
 	return string(d.take(n))
 }
 
-func (d *dec) meta(m *Meta) {
+// meta reads the metadata, the activations and bindings the record adds
+// and, into from, the counts of each the log already held.
+func (d *dec) meta(m *Meta, from *mark) {
 	m.Fingerprint = d.str()
 	m.ArrivalCursor = d.int()
+	from.hashes = d.count(0)
 	if n := d.count(word); n > 0 {
 		m.BundleHashes = make([]uint64, n)
 		for i := range m.BundleHashes {
 			m.BundleHashes[i] = d.u64()
 		}
 	}
+	from.bindings = d.count(0)
 	if n := d.count(word); n > 0 {
 		m.StreamBundle = make([]int32, n)
 		for i := range m.StreamBundle {
@@ -428,8 +601,12 @@ func (d *dec) meta(m *Meta) {
 	}
 }
 
-func (d *dec) capture(c *fleet.OpenCapture) {
+// capture reads the scalars, the closed streams the record adds (into
+// Closed) with the count the log already held (into from), and the
+// open state.
+func (d *dec) capture(c *fleet.OpenCapture, from *mark) {
 	c.Events = d.i64()
+	c.Streams = d.int()
 	c.NextArrival = d.int()
 	c.InService = d.int()
 	c.CPULoad = d.f64()
@@ -438,6 +615,28 @@ func (d *dec) capture(c *fleet.OpenCapture) {
 	c.LastDep = d.time()
 	c.BacklogIntegral = d.f64()
 	c.MaxBacklog = d.int()
+	from.closed = d.count(0)
+	if n := d.count(minClosed); n > 0 {
+		c.Closed = make([]fleet.ClosedStream, n)
+		for i := range c.Closed {
+			cs := &c.Closed[i]
+			lc := &cs.Lifecycle
+			cs.K = d.i32()
+			lc.Name = d.str()
+			lc.Arrival = d.time()
+			lc.Admitted = d.time()
+			lc.Departed = d.time()
+			lc.Queued = d.bool()
+			lc.Shed = d.bool()
+			lc.Failed = d.bool()
+			if lc.Shed {
+				continue
+			}
+			cs.Err = d.str()
+			d.trace(&cs.Trace)
+			d.sink(&cs.Sink)
+		}
+	}
 	if n := d.count(word); n > 0 {
 		c.Backlog = make([]int32, n)
 		for i := range c.Backlog {
@@ -451,34 +650,13 @@ func (d *dec) capture(c *fleet.OpenCapture) {
 			c.Departures[i].K = d.i32()
 		}
 	}
-	if n := d.count(minLifecycle); n > 0 {
-		c.Lifecycles = make([]metrics.Lifecycle, n)
-		for i := range c.Lifecycles {
-			lc := &c.Lifecycles[i]
-			lc.Name = d.str()
-			lc.Arrival = d.time()
-			lc.Admitted = d.time()
-			lc.Departed = d.time()
-			lc.Queued = d.bool()
-			lc.Shed = d.bool()
-			lc.Failed = d.bool()
-		}
-	}
-	if n := d.count(minDone); n > 0 {
-		c.Done = make([]fleet.DoneStream, n)
-		for i := range c.Done {
-			dn := &c.Done[i]
-			dn.K = d.i32()
-			dn.Err = d.str()
-			d.trace(&dn.Trace)
-			d.sink(&dn.Sink)
-		}
-	}
 	if n := d.count(minLive); n > 0 {
 		c.Live = make([]fleet.LiveSlot, n)
 		for i := range c.Live {
 			l := &c.Live[i]
 			l.K = d.i32()
+			l.Admitted = d.time()
+			l.Queued = d.bool()
 			l.State.T = d.time()
 			l.State.Cycle = d.int()
 			d.trace(&l.Trace)

@@ -1,8 +1,10 @@
 package fleet
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
@@ -11,8 +13,8 @@ import (
 )
 
 // This file is the checkpoint surface of the continuous open engine: a
-// deep, self-contained capture of a paused run (OpenCapture) plus the
-// restore path that rebuilds a frontier from one. The enabling facts
+// self-contained capture of a paused run (OpenCapture) plus the restore
+// path that rebuilds a frontier from one. The enabling facts
 // are the engine's own invariants — per-stream mutable state is O(1)
 // and lives in the arena slabs (sim.State clock/cycle, sim.Trace
 // aggregates, StatsSink accumulators), and a stream's trace is a pure
@@ -36,42 +38,57 @@ type DepEntry struct {
 	K int32
 }
 
-// DoneStream is a finished stream's harvested outcome in a capture:
-// its scalar trace aggregates and sink accumulators (or its bind-time
-// error), exactly what the result slabs hold.
-type DoneStream struct {
-	K     int32
-	Err   string // bind-time configuration error; "" = ran successfully
-	Trace sim.Trace
-	Sink  sim.SinkState
+// ClosedStream is a closed stream's final state in a capture: its
+// lifecycle verdict and, unless admission shed it, its outcome — the
+// scalar trace aggregates and sink accumulators, or its bind-time error.
+// A stream closes once: when it finishes, when it fails to bind (it
+// departs the instant it is admitted) or when admission sheds it on
+// arrival. Nothing about it changes afterwards.
+type ClosedStream struct {
+	K         int32
+	Lifecycle metrics.Lifecycle
+	Err       string        // bind-time configuration error; "" = ran, or was shed
+	Trace     sim.Trace     // zero unless the stream ran
+	Sink      sim.SinkState // zero for a shed stream
 }
 
-// LiveSlot is an in-flight stream's mid-run state in a capture: the
-// clock/cycle scalars, the trace aggregates so far, and the sink
-// accumulators — everything Step reads and writes. Rebinding the same
-// Runner and overwriting its slab cells with these resumes the stream
-// exactly where the batch boundary left it.
+// LiveSlot is an in-flight stream's mid-run state in a capture: its
+// admission instant and whether it queued first, the clock/cycle
+// scalars, the trace aggregates so far, and the sink accumulators —
+// everything Step reads and writes. Rebinding the same Runner and
+// overwriting its slab cells with these resumes the stream exactly
+// where the batch boundary left it.
 type LiveSlot struct {
-	K     int32
-	State sim.State
-	Trace sim.Trace
-	Sink  sim.SinkState
+	K        int32
+	Admitted core.Time
+	Queued   bool
+	State    sim.State
+	Trace    sim.Trace
+	Sink     sim.SinkState
 }
 
-// OpenCapture is a deep snapshot of a paused open run: the frontier's
+// OpenCapture is a snapshot of a paused open run: the frontier's
 // event-loop cursors and admission state, the backlog ring, the exact
-// departure events not yet retired, every lifecycle verdict so far, and
-// the per-stream outcomes split into finished and in-flight. It aliases
-// nothing in the engine, holds no pointers into any slab, and together
-// with the run's configuration (streams, arrivals, admitter) determines
-// the rest of the run exactly. The engine retains no records, so each
-// stream's captured state is O(1).
+// departure events not yet retired, the mid-run state of the streams in
+// service, and every stream that has closed, in the order they closed.
+// Each fed stream is in exactly one place: closed, live, queued, or not
+// yet arrived. Together with the run's configuration (streams, arrivals,
+// admitter) it determines the rest of the run exactly. The engine
+// retains no records, so each stream's captured state is O(1).
+//
+// Taking a capture copies only the open state. A capture taken from a
+// run views that run's result cells for its closed streams, which the
+// engine never writes again once a stream has closed, so the capture
+// stays valid for the rest of the run; like an OpenResult, a capture of
+// a run that used a scratch is valid only until the scratch's next run.
 type OpenCapture struct {
 	// Events counts the event groups processed so far — the engine's
 	// checkpoint-boundary clock.
 	Events int64
+	// Streams is the population fed when the capture was taken.
+	Streams int
 	// NextArrival is the cursor into the (instant, index)-ordered
-	// arrival schedule.
+	// arrival schedule: the streams before it have arrived.
 	NextArrival int
 	// InService and CPULoad are the admission controller's load inputs.
 	InService int
@@ -89,19 +106,53 @@ type OpenCapture struct {
 	// retired. Order is internal heap layout; restore re-heapifies, and
 	// the (t, k) pop order is the same for any layout.
 	Departures []DepEntry
-	// Lifecycles records every stream's verdict so far, in input order
-	// over the population known at capture time.
-	Lifecycles []metrics.Lifecycle
-	// Done and Live are the per-stream outcomes: harvested results of
-	// departed (or bind-failed) streams, and the mid-run state of
-	// streams still in service.
-	Done []DoneStream
+	// Live is the mid-run state of the streams in service.
 	Live []LiveSlot
+	// Closed lists closed streams the capture holds copies of, in close
+	// order: all of them in a capture assembled by a decoder. They
+	// follow the closed streams a taken capture views, if any;
+	// NumClosed and ClosedAt read both as one list.
+	Closed []ClosedStream
+
+	view closedView
+}
+
+// closedView is a taken capture's window on its run's closed streams:
+// the close order up to the capture, and the run's lifecycle and result
+// slabs, indexed by stream, of which it reads only the closed streams'
+// cells.
+type closedView struct {
+	order []int32
+	lcs   []metrics.Lifecycle
+	res   []StreamResult
+}
+
+// NumClosed returns the number of streams closed when c was taken.
+func (c *OpenCapture) NumClosed() int { return len(c.view.order) + len(c.Closed) }
+
+// ClosedAt returns the i-th stream to close, 0 ≤ i < NumClosed. The
+// histogram it returns may be the run's own: read it, do not write it.
+func (c *OpenCapture) ClosedAt(i int) ClosedStream {
+	if i >= len(c.view.order) {
+		return c.Closed[i-len(c.view.order)]
+	}
+	k := c.view.order[i]
+	cs := ClosedStream{K: k, Lifecycle: c.view.lcs[k]}
+	if cs.Lifecycle.Shed {
+		return cs
+	}
+	sr := &c.view.res[k]
+	cs.Sink = sr.Stats.StateView()
+	if sr.Err != nil {
+		cs.Err = sr.Err.Error()
+	} else {
+		cs.Trace = *sr.Trace
+	}
+	return cs
 }
 
 // checkpoint pauses the executor at a cycle-batch boundary, harvests
-// every published completion, captures, and resumes the pool. The
-// returned capture is deep: it stays valid across the rest of the run.
+// every published completion, captures, and resumes the pool.
 func (f *openFrontier) checkpoint() *OpenCapture {
 	f.exec.quiesce()
 	f.exec.drain(f, false)
@@ -111,23 +162,18 @@ func (f *openFrontier) checkpoint() *OpenCapture {
 	return c
 }
 
-// capture deep-copies the paused frontier. The executor must be
-// quiescent with all completions drained: every slot is then empty or
-// parked at a batch boundary, so the slab reads below race nothing, and
-// a first pass can count the finished streams, the ready slots and
-// their histogram cells that the copy pass then sees unchanged. Every
-// slice of the capture is allocated once at its exact length, and all
-// exported histograms share one slab.
+// capture copies the paused frontier's open state and views its closed
+// streams. The executor must be quiescent with all completions drained:
+// every slot is then empty or parked at a batch boundary, so the slab
+// reads below race nothing, and a first pass can count the ready slots
+// and their histogram cells that the copy pass then sees unchanged.
+// Every slice of the capture is allocated once at its exact length, and
+// the live histograms share one slab. Nothing here grows with the
+// number of closed streams.
 func (f *openFrontier) capture() *OpenCapture {
 	a := f.arena
 	slots := int(a.allocated.Load())
-	nDone, nLive, cells := 0, 0, 0
-	for k := 0; k < f.n; k++ {
-		if f.final[k] {
-			nDone++
-			cells += len(f.sc.stats[k].QualityHist)
-		}
-	}
+	nLive, cells := 0, 0
 	for slot := 0; slot < slots; slot++ {
 		if a.status[slot].v.Load() == slotReady {
 			nLive++
@@ -135,15 +181,11 @@ func (f *openFrontier) capture() *OpenCapture {
 		}
 	}
 	hist := make([]int, cells)
-	state := func(s *sim.StatsSink) sim.SinkState {
-		n := len(s.QualityHist)
-		st := s.StateInto(hist[:0:n])
-		hist = hist[n:]
-		return st
-	}
 
+	m := len(f.closed)
 	c := &OpenCapture{
 		Events:       f.events,
+		Streams:      f.n,
 		NextArrival:  f.ai,
 		InService:    f.inServe,
 		CPULoad:      f.cpuLoad,
@@ -153,7 +195,8 @@ func (f *openFrontier) capture() *OpenCapture {
 
 		BacklogIntegral: f.res.BacklogIntegral,
 		MaxBacklog:      f.res.MaxBacklog,
-		Lifecycles:      append([]metrics.Lifecycle(nil), f.res.Lifecycles[:f.n]...),
+		view: closedView{order: f.closed[:m:m], lcs: f.res.Lifecycles[:f.n:f.n],
+			res: f.res.Streams[:f.n:f.n]},
 	}
 	if f.blLen > 0 {
 		c.Backlog = make([]int32, f.blLen)
@@ -167,21 +210,6 @@ func (f *openFrontier) capture() *OpenCapture {
 			c.Departures[i] = DepEntry{T: e.t, K: e.k}
 		}
 	}
-	if nDone > 0 {
-		c.Done = make([]DoneStream, 0, nDone)
-	}
-	for k := 0; k < f.n; k++ {
-		if !f.final[k] {
-			continue
-		}
-		d := DoneStream{K: int32(k), Sink: state(&f.sc.stats[k])}
-		if err := f.res.Streams[k].Err; err != nil {
-			d.Err = err.Error()
-		} else {
-			d.Trace = f.sc.traces[k]
-		}
-		c.Done = append(c.Done, d)
-	}
 	if nLive > 0 {
 		c.Live = make([]LiveSlot, 0, nLive)
 	}
@@ -189,40 +217,147 @@ func (f *openFrontier) capture() *OpenCapture {
 		if a.status[slot].v.Load() != slotReady {
 			continue
 		}
-		tbl, idx := a.slotTbl[slot], a.slotIdx[slot]
+		tbl, idx, k := a.slotTbl[slot], a.slotIdx[slot], a.slotStream[slot]
+		s := &tbl.sinks[idx]
+		n := len(s.QualityHist)
+		lc := &f.res.Lifecycles[k]
 		c.Live = append(c.Live, LiveSlot{
-			K:     a.slotStream[slot],
-			State: tbl.states[idx],
-			Trace: tbl.traces[idx],
-			Sink:  state(&tbl.sinks[idx]),
+			K:        k,
+			Admitted: lc.Admitted,
+			Queued:   lc.Queued,
+			State:    tbl.states[idx],
+			Trace:    tbl.traces[idx],
+			Sink:     s.StateInto(hist[:0:n]),
 		})
+		hist = hist[n:]
 	}
 	return c
 }
 
-// errCorruptCapture rejects a capture whose cross-references do not fit
-// the run it is being restored into — the defence behind the checksum:
-// a snapshot that decodes but does not cohere must fail loudly, never
-// index out of range.
+// errCorruptCapture rejects a capture that does not cohere, or does not
+// fit the run it is being restored into — the defence behind the
+// checksum: a snapshot that decodes but does not cohere must fail
+// loudly, never index out of range or run a stream twice.
 func errCorruptCapture(what string) error {
-	return fmt.Errorf("fleet: capture does not match the run configuration: %s", what)
+	return fmt.Errorf("fleet: corrupt capture: %s", what)
+}
+
+// Validate checks that c is one partition of its population, as far as
+// a capture shows without its run: every stream it names is in range and
+// in exactly one place — closed, live or queued — and those places hold
+// exactly the NextArrival streams that have arrived. Each closed
+// stream's lifecycle agrees with its outcome; each pending departure
+// names a distinct closed stream that was admitted, at the instant its
+// lifecycle departed and not before the frontier's time; and the
+// in-service count is the live streams plus the pending departures.
+// Memory grows with the streams the capture names, not with the
+// population it declares. Restore validates every capture before it
+// touches the engine.
+func (c *OpenCapture) Validate() error {
+	_, err := c.placed()
+	return err
+}
+
+// placement is a stream's place in a capture: placeLive, placeQueued,
+// or i+1 for the i-th stream to close.
+type placement struct{ k, place int32 }
+
+const (
+	placeLive   int32 = -1
+	placeQueued int32 = -2
+)
+
+// placed is Validate, returning the streams the capture places, sorted
+// by index.
+func (c *OpenCapture) placed() ([]placement, error) {
+	n := c.Streams
+	if n < 0 || c.NextArrival < 0 || c.NextArrival > n {
+		return nil, errCorruptCapture(fmt.Sprintf("arrival cursor %d out of range for %d streams", c.NextArrival, n))
+	}
+	closed := c.NumClosed()
+	if m := closed + len(c.Live) + len(c.Backlog); m != c.NextArrival {
+		return nil, errCorruptCapture(fmt.Sprintf("%d closed, live and queued streams for %d arrivals", m, c.NextArrival))
+	}
+	ps := make([]placement, 0, c.NextArrival)
+	for i := 0; i < closed; i++ {
+		cs := c.ClosedAt(i)
+		ps = append(ps, placement{cs.K, int32(i) + 1})
+		lc := &cs.Lifecycle
+		if !lc.Shed && (lc.Failed != (cs.Err != "") || lc.Departed != lc.Admitted+cs.Trace.Final) {
+			return nil, errCorruptCapture(fmt.Sprintf("closed stream %d departs at %v, not at its admission %v plus its service time %v, or fails without an error", cs.K, lc.Departed, lc.Admitted, cs.Trace.Final))
+		}
+	}
+	for _, e := range c.Live {
+		ps = append(ps, placement{e.K, placeLive})
+	}
+	for _, k := range c.Backlog {
+		ps = append(ps, placement{k, placeQueued})
+	}
+	slices.SortFunc(ps, func(a, b placement) int { return cmp.Compare(a.k, b.k) })
+	for i, p := range ps {
+		if p.k < 0 || int(p.k) >= n {
+			return nil, errCorruptCapture(fmt.Sprintf("stream %d out of range", p.k))
+		}
+		if i > 0 && ps[i-1].k == p.k {
+			return nil, errCorruptCapture(fmt.Sprintf("stream %d has two places", p.k))
+		}
+	}
+	if c.InService != len(c.Live)+len(c.Departures) {
+		return nil, errCorruptCapture(fmt.Sprintf("%d streams in service, but %d live and %d departing", c.InService, len(c.Live), len(c.Departures)))
+	}
+	var departing []bool // by position in ps
+	if len(c.Departures) > 0 {
+		departing = make([]bool, len(ps))
+	}
+	for _, e := range c.Departures {
+		i, ok := slices.BinarySearchFunc(ps, e.K, func(p placement, k int32) int { return cmp.Compare(p.k, k) })
+		if !ok || ps[i].place <= 0 || departing[i] {
+			return nil, errCorruptCapture(fmt.Sprintf("departure of stream %d, which has not closed or departs twice", e.K))
+		}
+		departing[i] = true
+		if lc := c.ClosedAt(int(ps[i].place - 1)).Lifecycle; lc.Shed || e.T != lc.Departed || e.T < c.LastT {
+			return nil, errCorruptCapture(fmt.Sprintf("departure of stream %d at %v, not at its lifecycle's departure or before the frontier's time %v", e.K, e.T, c.LastT))
+		}
+	}
+	return ps, nil
 }
 
 // restore rebuilds a freshly laid-out frontier from a capture of the
-// same configuration. The executor must already be attached; live
-// streams are rebound into arena slots, their slab cells overwritten
-// with the captured mid-run state, and handed to the executor exactly
-// as a fresh admission would be. The departure bound of a live stream
-// is recomputed as admission instant + minFin — identical to the value
-// the uninterrupted run had — so the event gate resumes with the same
-// information the serial spec's loop would hold.
+// same configuration. The capture is validated as a whole first: it must
+// cover the run's population, the streams it places must be exactly the
+// first NextArrival in (instant, index) order, and each closed stream
+// must carry the name and arrival the run fed. The executor must already
+// be attached; live streams are rebound into arena slots, their slab
+// cells overwritten with the captured mid-run state, and handed to the
+// executor exactly as a fresh admission would be. The departure bound of
+// a live stream is recomputed as admission instant + minFin — identical
+// to the value the uninterrupted run had — so the event gate resumes
+// with the same information the serial spec's loop would hold.
 func (f *openFrontier) restore(c *OpenCapture) error {
-	if len(c.Lifecycles) > f.n {
-		return errCorruptCapture(fmt.Sprintf("%d lifecycles for %d streams", len(c.Lifecycles), f.n))
+	if c.Streams != f.n {
+		return errCorruptCapture(fmt.Sprintf("capture covers %d streams, the run has %d", c.Streams, f.n))
 	}
-	if c.NextArrival < 0 || c.NextArrival > f.n {
-		return errCorruptCapture(fmt.Sprintf("arrival cursor %d out of range", c.NextArrival))
+	ps, err := c.placed()
+	if err != nil {
+		return err
 	}
+	placed := make([]bool, f.n)
+	for _, p := range ps {
+		placed[p.k] = true
+	}
+	for _, k := range f.order[:c.NextArrival] {
+		if !placed[k] {
+			return errCorruptCapture(fmt.Sprintf("stream %d has arrived but has no place", k))
+		}
+	}
+	for i := 0; i < c.NumClosed(); i++ {
+		cs := c.ClosedAt(i)
+		if lc := &f.res.Lifecycles[cs.K]; cs.Lifecycle.Name != lc.Name || cs.Lifecycle.Arrival != lc.Arrival {
+			return errCorruptCapture(fmt.Sprintf("closed stream %d is %q arriving at %v, the run fed %q at %v",
+				cs.K, cs.Lifecycle.Name, cs.Lifecycle.Arrival, lc.Name, lc.Arrival))
+		}
+	}
+
 	f.events = c.Events
 	f.ai = c.NextArrival
 	f.inServe = c.InService
@@ -232,65 +367,50 @@ func (f *openFrontier) restore(c *OpenCapture) error {
 	f.res.FirstArrival = c.FirstArrival
 	f.res.BacklogIntegral = c.BacklogIntegral
 	f.res.MaxBacklog = c.MaxBacklog
-	copy(f.res.Lifecycles, c.Lifecycles)
 
-	if len(f.backlog) < len(c.Backlog) {
-		f.backlog = make([]int32, len(c.Backlog)+openChunkMin)
-	}
-	copy(f.backlog, c.Backlog)
-	f.blHead, f.blLen = 0, len(c.Backlog)
-
-	for _, d := range c.Done {
-		k := int(d.K)
-		if k < 0 || k >= f.n {
-			return errCorruptCapture(fmt.Sprintf("finished stream %d out of range", k))
+	for i := 0; i < c.NumClosed(); i++ {
+		cs := c.ClosedAt(i)
+		k := cs.K
+		f.res.Lifecycles[k] = cs.Lifecycle
+		f.closed = append(f.closed, k)
+		if cs.Lifecycle.Shed {
+			continue
 		}
 		f.final[k] = true
 		sr := &f.res.Streams[k]
-		if d.Err != "" {
-			sr.Err = errors.New(d.Err)
+		if cs.Err != "" {
+			sr.Err = errors.New(cs.Err)
 		} else {
-			f.sc.traces[k] = d.Trace
+			f.sc.traces[k] = cs.Trace
 			sr.Trace = &f.sc.traces[k]
 		}
 		// The sink returns to its slab window with harvestSlot's copy
 		// discipline (an empty histogram is nil, not zero-length).
 		s := &f.sc.stats[k]
-		base := k * f.maxLevels
+		base := int(k) * f.maxLevels
 		s.Init(f.sc.hist[base : base : base+f.maxLevels])
-		s.RestoreState(d.Sink)
+		s.RestoreState(cs.Sink)
 		if len(s.QualityHist) == 0 {
 			s.QualityHist = nil
 		}
 		sr.Stats = s
 	}
 	for _, e := range c.Departures {
-		if e.K < 0 || int(e.K) >= f.n {
-			return errCorruptCapture(fmt.Sprintf("departure of stream %d out of range", e.K))
-		}
 		depPush(&f.dep, depEvent{t: e.T, k: e.K})
 	}
-	// A queued stream has not been admitted: a backlog entry naming a
-	// finished or live stream, or one queued twice, would run that stream
-	// a second time once capacity frees.
-	busy := make([]bool, f.n)
-	for _, e := range c.Live {
-		if k := int(e.K); k >= 0 && k < f.n {
-			busy[k] = true
-		}
+	if len(f.backlog) < len(c.Backlog) {
+		f.backlog = make([]int32, len(c.Backlog)+openChunkMin)
 	}
+	copy(f.backlog, c.Backlog)
+	f.blHead, f.blLen = 0, len(c.Backlog)
 	for _, k := range c.Backlog {
-		if k < 0 || int(k) >= f.n || f.final[k] || busy[k] {
-			return errCorruptCapture(fmt.Sprintf("backlog stream %d out of range, finished, live or queued twice", k))
-		}
-		busy[k] = true
+		f.res.Lifecycles[k].Queued = true
 	}
 	for i := range c.Live {
 		e := &c.Live[i]
 		k := int(e.K)
-		if k < 0 || k >= f.n || f.final[k] {
-			return errCorruptCapture(fmt.Sprintf("live stream %d out of range or already finished", k))
-		}
+		lc := &f.res.Lifecycles[k]
+		lc.Admitted, lc.Queued = e.Admitted, e.Queued
 		slot := f.arena.bind(&f.streams[k], k)
 		if err := f.arena.err(slot); err != nil {
 			return fmt.Errorf("fleet: restore: stream %d no longer binds: %w", k, err)
@@ -299,7 +419,7 @@ func (f *openFrontier) restore(c *OpenCapture) error {
 		tbl.states[idx] = e.State
 		tbl.traces[idx] = e.Trace
 		tbl.sinks[idx].RestoreState(e.Sink)
-		depPush(&f.pend, depEvent{t: f.res.Lifecycles[k].Admitted + f.minFin[k], k: int32(k)})
+		depPush(&f.pend, depEvent{t: e.Admitted + f.minFin[k], k: int32(k)})
 		f.arena.status[slot].v.Store(slotReady)
 		f.starts++
 	}

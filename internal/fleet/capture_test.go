@@ -2,6 +2,8 @@ package fleet
 
 import (
 	"reflect"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -149,10 +151,24 @@ func TestOpenCaptureDeterministicAtWorkersOne(t *testing.T) {
 		t.Fatalf("capture counts differ: %d vs %d", len(a), len(b))
 	}
 	for i := range a {
-		if !reflect.DeepEqual(a[i], b[i]) {
+		if !reflect.DeepEqual(copyCapture(a[i]), copyCapture(b[i])) {
 			t.Fatalf("capture %d differs between identical workers=1 runs", i)
 		}
 	}
+}
+
+// copyCapture returns c with its closed streams copied out of the run
+// that took it: what the capture holds, comparable on its own.
+func copyCapture(c *OpenCapture) *OpenCapture {
+	out := *c
+	out.view = closedView{}
+	out.Closed = make([]ClosedStream, c.NumClosed())
+	for i := range out.Closed {
+		cs := c.ClosedAt(i)
+		cs.Sink.QualityHist = append([]int(nil), cs.Sink.QualityHist...)
+		out.Closed[i] = cs
+	}
+	return &out
 }
 
 // TestOpenRestoreRejectsIncoherentCapture drives the restore validator:
@@ -168,7 +184,7 @@ func TestOpenRestoreRejectsIncoherentCapture(t *testing.T) {
 	cfg := OpenConfig{Streams: streams, Arrivals: times, Admit: CapK{K: 1, Queue: -1}, Workers: 1}
 	var cap0 *OpenCapture
 	if _, err := OpenRunStatsCheckpointed(cfg, nil, 1, func(c *OpenCapture) error {
-		if cap0 == nil && len(c.Backlog) > 0 && len(c.Done) > 0 && len(c.Live) > 0 {
+		if cap0 == nil && len(c.Backlog) > 0 && c.NumClosed() > 0 && len(c.Live) > 0 {
 			cap0 = c
 		}
 		return nil
@@ -183,12 +199,24 @@ func TestOpenRestoreRejectsIncoherentCapture(t *testing.T) {
 	setBacklogHead := func(c *OpenCapture, k int32) {
 		c.Backlog = append([]int32{k}, c.Backlog[1:]...)
 	}
+	// A departure of the first closed stream that was admitted, at the
+	// instant its lifecycle departed.
+	var dep DepEntry
+	for i := 0; i < cap0.NumClosed(); i++ {
+		if cs := cap0.ClosedAt(i); !cs.Lifecycle.Shed {
+			dep = DepEntry{T: cs.Lifecycle.Departed, K: cs.K}
+			break
+		}
+	}
+	// Validate alone must reject every shape but the two that only the
+	// run's population shows.
+	runOnly := map[string]bool{"more streams than the run": true, "closed stream renamed": true}
 	corrupt := []struct {
 		name string
 		mut  func(c *OpenCapture)
 	}{
-		{"done stream out of range", func(c *OpenCapture) {
-			c.Done = append(c.Done, DoneStream{K: int32(n) + 5})
+		{"closed stream out of range", func(c *OpenCapture) {
+			c.Closed = append(c.Closed, ClosedStream{K: int32(n) + 5})
 		}},
 		{"live stream out of range", func(c *OpenCapture) {
 			c.Live = append(c.Live, LiveSlot{K: -1})
@@ -199,14 +227,14 @@ func TestOpenRestoreRejectsIncoherentCapture(t *testing.T) {
 		{"arrival cursor out of range", func(c *OpenCapture) {
 			c.NextArrival = n + 1
 		}},
-		{"too many lifecycles", func(c *OpenCapture) {
-			c.Lifecycles = append(c.Lifecycles, c.Lifecycles...)
+		{"more streams than the run", func(c *OpenCapture) {
+			c.Streams = n + 1
 		}},
 		{"backlog stream out of range", func(c *OpenCapture) {
 			setBacklogHead(c, 1<<20)
 		}},
 		{"backlog names a finished stream", func(c *OpenCapture) {
-			setBacklogHead(c, c.Done[0].K)
+			setBacklogHead(c, c.ClosedAt(0).K)
 		}},
 		{"backlog names a live stream", func(c *OpenCapture) {
 			setBacklogHead(c, c.Live[0].K)
@@ -214,16 +242,53 @@ func TestOpenRestoreRejectsIncoherentCapture(t *testing.T) {
 		{"backlog names a stream twice", func(c *OpenCapture) {
 			c.Backlog = append([]int32{c.Backlog[0]}, c.Backlog...)
 		}},
+		// The two shapes that restored and sealed a wrong result before
+		// restore checked one partition: the live list naming a stream
+		// twice, and a departure repeated.
+		{"live list names a stream twice", func(c *OpenCapture) {
+			c.Live = append(slices.Clone(c.Live), c.Live[0])
+		}},
+		{"departures repeat a stream", func(c *OpenCapture) {
+			c.Departures = append(slices.Clone(c.Departures), dep)
+		}},
+		// The same, with the counts kept consistent, reach the checks
+		// for a stream in two places and for a repeated departure.
+		{"live list names a stream twice, arrivals kept", func(c *OpenCapture) {
+			c.Live = append(slices.Clone(c.Live), c.Live[0])
+			c.Backlog = c.Backlog[1:]
+		}},
+		{"departure repeated, in-service count kept", func(c *OpenCapture) {
+			c.Departures = append(slices.Clone(c.Departures), dep, dep)
+			c.InService += 2
+		}},
+		{"departure before its lifecycle's", func(c *OpenCapture) {
+			d := dep
+			d.T--
+			c.Departures = append(slices.Clone(c.Departures), d)
+			c.InService++
+		}},
+		{"closed stream renamed", func(c *OpenCapture) {
+			cs := c.ClosedAt(0)
+			cs.Lifecycle.Name += "x"
+			c.view.order = c.view.order[1:]
+			c.Closed = append([]ClosedStream{cs}, c.Closed...)
+		}},
 	}
 	for _, tc := range corrupt {
 		bad := *cap0
-		// Shallow copy shares slices; mutations below only append or set
-		// scalars, so the original stays intact for the next case.
+		// Shallow copy shares slices; mutations below only append to
+		// copies or set scalars, so the original stays intact for the
+		// next case.
 		tc.mut(&bad)
+		if err := bad.Validate(); (err == nil) != runOnly[tc.name] {
+			t.Fatalf("%s: Validate = %v", tc.name, err)
+		}
 		if _, err := OpenRunStatsCheckpointed(cfg, &bad, 0, nil); err == nil {
 			t.Fatalf("%s: restore accepted an incoherent capture", tc.name)
 		} else if !strings.Contains(err.Error(), "capture") {
 			t.Fatalf("%s: unexpected error %v", tc.name, err)
+		} else {
+			t.Logf("%s: %v", tc.name, err)
 		}
 	}
 }
@@ -378,17 +443,17 @@ func TestOpenLiveValidation(t *testing.T) {
 	}
 }
 
-// TestOpenLiveCheckpointAllocsFlat: a capture allocates each of its
-// slices once at its exact length, with every exported histogram carved
-// out of one slab, so Checkpoint's allocation count does not grow with
-// the number of finished streams it copies. The carved histograms must
-// still be independent: appending to one cannot reach its neighbour.
+// TestOpenLiveCheckpointAllocsFlat: a capture copies the open state
+// only and views the closed streams, so a Checkpoint with nothing new to
+// copy allocates the same bytes with 12 finished streams as with 48. The
+// histograms it reports must still be independent: appending to one
+// cannot reach its neighbour.
 func TestOpenLiveCheckpointAllocsFlat(t *testing.T) {
 	const n = 49
 	streams := mixedStreams(t, n, 2, 97)
 	live := NewOpenLive(OpenLiveConfig{Workers: 1, MaxLevels: maxLevelsOf(streams)})
 	defer live.Abort()
-	var allocs []float64
+	var bytes []uint64
 	k := 0
 	for _, finished := range []int{12, 48} {
 		// Arrivals one second apart: each stream departs long before the
@@ -402,22 +467,36 @@ func TestOpenLiveCheckpointAllocsFlat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(c.Done) != finished {
-			t.Fatalf("capture holds %d finished streams, want %d", len(c.Done), finished)
+		if c.NumClosed() != finished {
+			t.Fatalf("capture holds %d finished streams, want %d", c.NumClosed(), finished)
 		}
-		want := append([]int(nil), c.Done[1].Sink.QualityHist...)
-		c.Done[0].Sink.QualityHist = append(c.Done[0].Sink.QualityHist, -1)
-		if !reflect.DeepEqual(c.Done[1].Sink.QualityHist, want) {
+		first, second := c.ClosedAt(0), c.ClosedAt(1)
+		want := slices.Clone(second.Sink.QualityHist)
+		_ = append(first.Sink.QualityHist, -1)
+		if got := c.ClosedAt(1).Sink.QualityHist; !reflect.DeepEqual(got, want) {
 			t.Fatal("appending to one captured histogram overwrote its neighbour")
 		}
-		allocs = append(allocs, testing.AllocsPerRun(10, func() {
-			if _, err := live.Checkpoint(); err != nil {
-				panic(err)
-			}
-		}))
+		bytes = append(bytes, checkpointBytes(t, live))
 	}
-	t.Logf("Checkpoint allocations with 12 and 48 finished streams: %v", allocs)
-	if allocs[1] != allocs[0] {
-		t.Fatalf("Checkpoint allocates %.0f times with 12 finished streams and %.0f with 48; want no growth", allocs[0], allocs[1])
+	t.Logf("bytes one Checkpoint allocates with 12 and 48 finished streams: %v", bytes)
+	if bytes[1] != bytes[0] {
+		t.Fatalf("Checkpoint allocates %d bytes with 12 finished streams and %d with 48; want no growth", bytes[0], bytes[1])
 	}
+}
+
+// checkpointBytes returns the heap bytes one Checkpoint of live
+// allocates, averaged over a few.
+func checkpointBytes(t *testing.T, live *OpenLive) uint64 {
+	t.Helper()
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := live.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / runs
 }

@@ -162,9 +162,9 @@ type openExec interface {
 // wall-clock time depends on who runs the streams.
 //
 // The frontier lives in the scratch and owns its slabs — the population
-// (streams through final), both heaps and the backlog ring: appendStream
-// and blPush grow them, and newOpenLive empties them for the next run
-// without dropping their backing arrays.
+// (streams through final), the close order, both heaps and the backlog
+// ring: appendStream, finish and blPush grow them, and newOpenLive
+// empties them for the next run without dropping their backing arrays.
 type openFrontier struct {
 	streams   []Stream
 	sc        *OpenScratch
@@ -177,6 +177,11 @@ type openFrontier struct {
 	util   []float64
 	minFin []core.Time
 	final  []bool // service time resolved (lazy deletion mark for pend)
+	// closed lists the streams in the order they closed: finished or
+	// failed to bind (finish), or shed on arrival. It only grows, and a
+	// closed stream's result cells are never written again, so a
+	// capture views a prefix of it instead of copying what it names.
+	closed []int32
 
 	dep     []depEvent // exact departures, min-heap by (t, k)
 	pend    []depEvent // departure lower bounds of in-flight streams
@@ -384,6 +389,7 @@ func (f *openFrontier) step(watermark core.Time) bool {
 				f.tr.Rec(obs.EvDelay, tA, k, obs.NoWorker, int64(f.blLen))
 			default:
 				f.res.Lifecycles[k].Shed = true
+				f.closed = append(f.closed, k)
 				if m := f.met; m != nil {
 					m.Shed.Inc()
 				}
@@ -539,6 +545,7 @@ func (f *openFrontier) finish(slot int32) {
 	}
 	depPush(&f.dep, depEvent{t: d, k: k})
 	f.final[k] = true
+	f.closed = append(f.closed, k)
 	f.tr.Rec(obs.EvComplete, d, k, obs.NoWorker, int64(slot))
 }
 

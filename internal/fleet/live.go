@@ -93,7 +93,8 @@ func newOpenLive(cfg OpenLiveConfig, export func(int, string) sim.Sink, n int) *
 	*f = openFrontier{sc: sc, maxLevels: cfg.MaxLevels, adm: adm, look: lookahead,
 		arena: &sc.arena, res: &sc.res, met: cfg.Obs, tr: cfg.Trace,
 		streams: f.streams[:0], arr: f.arr[:0], order: f.order[:0], util: f.util[:0],
-		minFin: f.minFin[:0], final: f.final[:0], dep: f.dep[:0], pend: f.pend[:0], backlog: f.backlog}
+		minFin: f.minFin[:0], final: f.final[:0], closed: f.closed[:0], dep: f.dep[:0], pend: f.pend[:0],
+		backlog: f.backlog}
 	sc.arena.reset(n, export, cfg.MaxLevels)
 	sc.lifecycles, sc.streams = sc.lifecycles[:0], sc.streams[:0]
 	sc.traces, sc.stats, sc.hist = sc.traces[:0], sc.stats[:0], sc.hist[:0]
@@ -128,6 +129,7 @@ func loadOpen(cfg *OpenConfig) (*OpenLive, error) {
 	ol := newOpenLive(OpenLiveConfig{Admit: cfg.Admit, Workers: cfg.Workers, BatchCycles: cfg.BatchCycles,
 		MaxLevels: maxLevels, Obs: cfg.Obs, Trace: cfg.Trace, Scratch: cfg.Scratch},
 		cfg.Export, len(cfg.Streams))
+	ol.reserve(len(cfg.Streams))
 	for k := range cfg.Streams {
 		ol.appendStream(cfg.Streams[k], cfg.Arrivals[k])
 	}
@@ -206,6 +208,26 @@ func (ol *OpenLive) appendStream(s Stream, t core.Time) {
 	}
 }
 
+// reserve sizes every per-stream slab, and the close order, for n more
+// streams at once, so a population loaded or re-fed in one go grows each
+// slab once instead of one appendStream at a time. On a warm scratch it
+// reuses the slabs' capacity and allocates nothing.
+func (ol *OpenLive) reserve(n int) {
+	f, sc := ol.f, ol.sc
+	f.streams = slices.Grow(f.streams, n)
+	f.arr = slices.Grow(f.arr, n)
+	f.order = slices.Grow(f.order, n)
+	f.util = slices.Grow(f.util, n)
+	f.minFin = slices.Grow(f.minFin, n)
+	f.final = slices.Grow(f.final, n)
+	f.closed = slices.Grow(f.closed, n)
+	sc.lifecycles = slices.Grow(sc.lifecycles, n)
+	sc.streams = slices.Grow(sc.streams, n)
+	sc.traces = slices.Grow(sc.traces, n)
+	sc.stats = slices.Grow(sc.stats, n)
+	sc.hist = slices.Grow(sc.hist, n*f.maxLevels)
+}
+
 // growArena widens the arena's flat indirection arrays to the fed
 // population under an executor quiesce — the one shared structure
 // Feed's growth touches that workers scan concurrently.
@@ -265,9 +287,12 @@ func (ol *OpenLive) Advance(watermark core.Time) error {
 }
 
 // Checkpoint pauses execution at a cycle-batch quiescence point and
-// returns a deep capture of the run, then lets the pool resume. The
-// capture plus the fed (streams, arrivals) prefix is everything a
-// Restore needs to continue the run with byte-identical results.
+// returns a capture of the run, then lets the pool resume. The capture
+// plus the fed (streams, arrivals) prefix is everything a Restore needs
+// to continue the run with byte-identical results. It copies the open
+// state only — live slots, backlog, pending departures — and views the
+// closed streams' result cells, so its cost follows the streams in
+// flight, not the population fed so far.
 func (ol *OpenLive) Checkpoint() (*OpenCapture, error) {
 	if ol.closed {
 		return nil, errors.New("fleet: Checkpoint on a closed OpenLive")
@@ -278,7 +303,8 @@ func (ol *OpenLive) Checkpoint() (*OpenCapture, error) {
 // Restore rebuilds a freshly created OpenLive from a capture and the
 // exact (streams, arrivals) population that had been fed when it was
 // taken. Subsequent feeds continue the run; results are byte-identical
-// to the run that never stopped.
+// to the run that never stopped. Every closed stream in the capture
+// must carry the name and arrival instant re-fed for it.
 func (ol *OpenLive) Restore(c *OpenCapture, streams []Stream, arrivals []core.Time) error {
 	if ol.closed {
 		return errors.New("fleet: Restore on a closed OpenLive")
@@ -286,16 +312,14 @@ func (ol *OpenLive) Restore(c *OpenCapture, streams []Stream, arrivals []core.Ti
 	if ol.f.n != 0 || ol.f.events != 0 {
 		return errors.New("fleet: Restore on a used OpenLive")
 	}
-	if len(streams) != len(c.Lifecycles) || len(arrivals) != len(streams) {
-		return errCorruptCapture(fmt.Sprintf("capture covers %d streams, caller re-fed %d with %d arrivals", len(c.Lifecycles), len(streams), len(arrivals)))
+	if len(streams) != c.Streams || len(arrivals) != len(streams) {
+		return errCorruptCapture(fmt.Sprintf("capture covers %d streams, caller re-fed %d with %d arrivals", c.Streams, len(streams), len(arrivals)))
 	}
+	ol.reserve(len(streams))
 	for i := range streams {
 		t := arrivals[i]
 		if t < 0 || t.IsInf() || t < ol.lastFed {
 			return errCorruptCapture(fmt.Sprintf("re-fed arrival %d out of order", i))
-		}
-		if t != c.Lifecycles[i].Arrival {
-			return errCorruptCapture(fmt.Sprintf("re-fed arrival %d is %v, capture recorded %v", i, t, c.Lifecycles[i].Arrival))
 		}
 		if sys := streams[i].Runner.Sys; sys != nil && sys.NumLevels() > ol.f.maxLevels {
 			return fmt.Errorf("fleet: stream %q has %d levels, over the configured MaxLevels %d", streams[i].Name, sys.NumLevels(), ol.f.maxLevels)

@@ -59,32 +59,31 @@ func NewFleetMetrics(r *Registry) *FleetMetrics {
 	}
 }
 
-// CheckpointMetrics instruments the snapshot store. Counters are
-// shape-independent facts about the snapshot sequence; encode time is
+// CheckpointMetrics instruments the checkpoint store. Counters are
+// shape-independent facts about the checkpoint sequence; encode time is
 // a wall-clock quantity and therefore shape-dependent. NowNanos is the
 // store's injected clock — engine-scoped code never reads the wall
 // clock itself, so the CLIs supply time.Now and a nil NowNanos simply
 // skips duration observation.
 type CheckpointMetrics struct {
-	Snapshots *Counter // snapshots written durably ("checkpoints_total")
-	Pruned    *Counter // old snapshots removed by retention
-	Bytes     *Counter // snapshot bytes written
-	Fallbacks *Counter // LoadLatest skips past corrupt/foreign files
+	Snapshots *Counter // checkpoint records written durably ("checkpoints_total")
+	Bytes     *Counter // record bytes written
+	Fallbacks *Counter // LoadLatest drops of a corrupt or foreign log tail
 	Encode    *Histogram
 	NowNanos  func() int64
 }
 
-// encodeBounds buckets snapshot encode+write time: 100µs to 10s.
+// encodeBounds buckets record encode+write time: 100µs to 10s.
 var encodeBounds = []int64{1e5, 1e6, 1e7, 1e8, 1e9, 1e10}
 
-// NewCheckpointMetrics registers the snapshot-store instrument set on r.
+// NewCheckpointMetrics registers the checkpoint-store instrument set on
+// r.
 func NewCheckpointMetrics(r *Registry, now func() int64) *CheckpointMetrics {
 	return &CheckpointMetrics{
-		Snapshots: r.Counter("checkpoints", "Snapshots written durably by the checkpoint store.", SerialOrder),
-		Pruned:    r.Counter("checkpoints_pruned", "Snapshots removed by the store's retention policy.", SerialOrder),
-		Bytes:     r.Counter("checkpoint_bytes", "Snapshot bytes written durably.", SerialOrder),
-		Fallbacks: r.Counter("checkpoint_fallbacks", "Corrupt or foreign snapshot files skipped by LoadLatest.", SerialOrder),
-		Encode:    r.Histogram("checkpoint_encode_nanos", "Wall-clock nanoseconds to encode and durably write one snapshot.", ShapeDependent, encodeBounds),
+		Snapshots: r.Counter("checkpoints", "Checkpoint records appended durably by the checkpoint store.", SerialOrder),
+		Bytes:     r.Counter("checkpoint_bytes", "Checkpoint record bytes written durably.", SerialOrder),
+		Fallbacks: r.Counter("checkpoint_fallbacks", "Corrupt, torn or foreign checkpoint log tails dropped by LoadLatest.", SerialOrder),
+		Encode:    r.Histogram("checkpoint_encode_nanos", "Wall-clock nanoseconds to encode and durably write one checkpoint record.", ShapeDependent, encodeBounds),
 		NowNanos:  now,
 	}
 }

@@ -165,7 +165,19 @@ func (s *StatsSink) State() SinkState { return s.StateInto(nil) }
 // an append on one exported state cannot overwrite its neighbour). An
 // empty histogram exports as nil.
 func (s *StatsSink) StateInto(hist []int) SinkState {
-	hist = append(hist[:0], s.QualityHist...)
+	return s.state(append(hist[:0], s.QualityHist...))
+}
+
+// StateView is State without the copy, for a sink that is no longer
+// written: the exported histogram is the sink's own, its capacity
+// clipped to its length so that an append reallocates rather than
+// reaching past it. The caller may read it, never write it.
+func (s *StatsSink) StateView() SinkState {
+	return s.state(s.QualityHist[:len(s.QualityHist):len(s.QualityHist)])
+}
+
+// state exports the accumulators around hist (nil when empty).
+func (s *StatsSink) state(hist []int) SinkState {
 	if len(hist) == 0 {
 		hist = nil
 	}
