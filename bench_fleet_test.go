@@ -225,8 +225,8 @@ func BenchmarkFleetThroughput(b *testing.B) {
 // the multi-core CI job asserts instances=4 beats instances=1 there.
 // Round-robin is the stateless policy, so the instance pipelines never
 // synchronize and the rows isolate scale-out cost from routing-state
-// barriers. Each width reuses a cluster.Scratch across iterations, so
-// the rows report the router's steady state, not first-run slab growth.
+// barriers. Every iteration is a whole run, so the rows include the
+// run's own slab allocation, which the report's allocs/action shows.
 func BenchmarkFleetCluster(b *testing.B) {
 	batch := fleetBenchBatch(b)
 	large := experiment.Paper(1)
@@ -247,7 +247,6 @@ func BenchmarkFleetCluster(b *testing.B) {
 		m := m
 		name := fmt.Sprintf("cluster-instances=%d", m)
 		b.Run(name, func(b *testing.B) {
-			scratch := cluster.NewScratch()
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			start := time.Now()
@@ -265,12 +264,11 @@ func BenchmarkFleetCluster(b *testing.B) {
 					Workers:     1,
 					BatchCycles: batch,
 					Seed:        1,
-					Scratch:     scratch,
 				})
 				if err != nil {
 					b.Fatal(err)
 				}
-				if err := cres.Err(); err != nil {
+				if err := cres.FleetResult().Err(); err != nil {
 					b.Fatal(err)
 				}
 				admitted := 0
@@ -371,9 +369,8 @@ func mergeFleetBenchRows(b *testing.B, file string, rows []fleetBenchRow) {
 // in-flight streams that the workers and the frontier's completion
 // hand-off have parallelism to expose — flat on a single-core host,
 // dropping ns/action with cores on a real runner, which is exactly
-// what benchguard's speedup assertion checks in CI. Each configuration
-// reuses an OpenScratch, so the rows report the engine's steady state,
-// not first-run slab growth.
+// what benchguard's speedup assertion checks in CI. Every iteration is
+// a whole run, so the rows include the run's own slab allocation.
 func BenchmarkFleetOpen(b *testing.B) {
 	batch := fleetBenchBatch(b)
 	var order []string
@@ -384,7 +381,6 @@ func BenchmarkFleetOpen(b *testing.B) {
 		run func(cfg fleet.OpenConfig) (*fleet.OpenResult, error)) {
 		b.Run(name, func(b *testing.B) {
 			actionsPerOp := streams * s.Cycles * s.Sys.NumActions()
-			scratch := fleet.NewOpenScratch()
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			start := time.Now()
@@ -399,7 +395,6 @@ func BenchmarkFleetOpen(b *testing.B) {
 					Admit:       adm,
 					Workers:     workers,
 					BatchCycles: batch,
-					Scratch:     scratch,
 				})
 				if err != nil {
 					b.Fatal(err)

@@ -210,7 +210,7 @@ func main() {
 	workers := flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS); never changes results")
 	batch := flag.Int("batch", fleet.DefaultBatchCycles, "cycles per scheduling batch; never changes results")
 	maxLevels := flag.Int("max-levels", 0, "widest quality-level count any served bundle may have (0 = the startup bundle's)")
-	noise := flag.Float64("noise", 0.3, "content model jitter amplitude")
+	noise := flag.Float64("noise", 0.3, "content model jitter amplitude, in [0, 1]")
 	jsonPath := flag.String("json", "", "write the final report JSON here (atomic rename)")
 	httpAddr := flag.String("http", "", "serve /healthz, /stats, /metrics and /debug/pprof on this address")
 	killAfter := flag.Int("kill-after", 0, "fault injection: checkpoint and exit(3) after ingesting N events")
@@ -291,10 +291,16 @@ func main() {
 }
 
 // newDaemon loads the startup bundle and starts an idle engine. The
-// manager is resolved against the startup bundle, through the stream
-// constructor every arrival uses, before anything is written to the
-// state directory.
+// noise amplitude is range-checked and the manager resolved against the
+// startup bundle, through the stream constructor every arrival uses,
+// before anything is written to the state directory.
 func newDaemon(cfg config) (*daemon, error) {
+	// The negation also rejects NaN. An amplitude outside [0, 1] would
+	// silently disable jitter (negative) or push the content model's
+	// float-to-time conversion out of range (huge).
+	if !(cfg.noise >= 0 && cfg.noise <= 1) {
+		return nil, fmt.Errorf("-noise %v: want a jitter amplitude in [0, 1]", cfg.noise)
+	}
 	d := &daemon{
 		cfg:     cfg,
 		opt:     fleet.Options{Manager: cfg.manager, Overhead: sim.IPodOverhead, NoiseAmp: cfg.noise},

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -369,6 +370,32 @@ func TestUnknownManagerFailsAtStartup(t *testing.T) {
 	}
 	if _, err := os.Stat(cfg.state); !os.IsNotExist(err) {
 		t.Fatalf("state directory exists after a failed start (stat: %v)", err)
+	}
+}
+
+// TestNoiseOutOfRangeFailsAtStartup: a -noise that is not finite or
+// lies outside [0, 1] fails the daemon before it writes any state, with
+// an error that names the flag; the range's ends start it.
+func TestNoiseOutOfRangeFailsAtStartup(t *testing.T) {
+	for _, noise := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -0.1, 1.5, 1e300} {
+		cfg, _ := drillConfig(t)
+		cfg.noise = noise
+		cfg.state = filepath.Join(t.TempDir(), "state")
+		if _, err := newDaemon(cfg); err == nil || !strings.Contains(err.Error(), "-noise") {
+			t.Fatalf("noise %v: newDaemon = %v, want an error naming -noise", noise, err)
+		}
+		if _, err := os.Stat(cfg.state); !os.IsNotExist(err) {
+			t.Fatalf("noise %v: state directory exists after a failed start (stat: %v)", noise, err)
+		}
+	}
+	for _, noise := range []float64{0, 1} {
+		cfg, _ := drillConfig(t)
+		cfg.noise = noise
+		d, err := newDaemon(cfg)
+		if err != nil {
+			t.Fatalf("noise %v: %v", noise, err)
+		}
+		d.live.Abort()
 	}
 }
 

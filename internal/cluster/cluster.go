@@ -4,7 +4,8 @@
 // state, worker pool and slot arena — so the cluster stacks
 // instance-level parallelism on top of the per-instance pools: router
 // and instances pipeline through command queues, and the final drains
-// of all instances overlap.
+// of all instances overlap. Every run allocates its own router slabs,
+// instances and Result; nothing is shared across runs.
 //
 // Determinism is load-bearing, exactly as in the single engine: every
 // routing decision is a pure function of the global serial event order.
@@ -21,6 +22,7 @@
 package cluster
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -62,70 +64,6 @@ type Config struct {
 	// (len ≥ Instances), typically NewFleetMetrics over per-instance
 	// labeled registries. Results are byte-identical with it on or off.
 	Obs []*obs.FleetMetrics
-	// Scratch, when non-nil, amortizes the cluster's working memory —
-	// router slabs plus one OpenScratch per instance — so a warm
-	// steady-state RunSerial at Workers = 1 is allocation-free end to
-	// end. The returned Result then aliases the scratch and is valid
-	// only until its next run.
-	Scratch *Scratch
-}
-
-// Scratch is the cluster's reusable working memory: the router's
-// order/assignment/pending slabs and one fleet.OpenScratch per
-// instance. A zero Scratch is ready to use; it warms up over the first
-// run and adapts to any (population, instance count) shape.
-type Scratch struct {
-	open []*fleet.OpenScratch
-
-	order   []int32
-	assign  []int32
-	local   []int32
-	routed  []int
-	pending []int
-	states  []InstanceState
-	results []*fleet.OpenResult
-	empty   []fleet.OpenResult
-	errs    []error
-
-	lifecycles []metrics.Lifecycle
-	lives      []*fleet.OpenLive
-	dec        Decision
-	rng        PolicyRNG
-	serial     serialDriver
-	res        Result
-}
-
-// NewScratch returns an empty cluster scratch.
-func NewScratch() *Scratch { return new(Scratch) }
-
-// ensure sizes the scratch for m instances and n streams, reusing
-// backing arrays. routed and pending restart zeroed; assign/local are
-// fully overwritten by the router before anything reads them.
-func (sc *Scratch) ensure(m, n int) {
-	for len(sc.open) < m {
-		sc.open = append(sc.open, fleet.NewOpenScratch())
-	}
-	sc.order = grown(sc.order, n)
-	sc.assign = grown(sc.assign, n)
-	sc.local = grown(sc.local, n)
-	sc.routed = grown(sc.routed, m)
-	sc.pending = grown(sc.pending, m)
-	sc.states = grown(sc.states, m)
-	sc.results = grown(sc.results, m)
-	sc.empty = grown(sc.empty, m)
-	sc.errs = grown(sc.errs, m)
-	sc.lives = grown(sc.lives, m)
-	clear(sc.routed)
-	clear(sc.pending)
-	clear(sc.errs)
-}
-
-// grown resizes a scratch slab to length n, reusing capacity.
-func grown[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
 }
 
 // Result is a cluster run's outcome: each instance's complete open
@@ -180,18 +118,6 @@ func (r *Result) FleetResult() *fleet.Result {
 	return res
 }
 
-// Err returns the first per-stream error in global stream order, or
-// nil if every executed stream ran.
-func (r *Result) Err() error {
-	for k := range r.Assign {
-		s := &r.Instances[r.Assign[k]].Streams[r.Local[k]]
-		if s.Err != nil {
-			return fmt.Errorf("cluster: stream %q: %w", s.Name, s.Err)
-		}
-	}
-	return nil
-}
-
 // Run executes the cluster with one goroutine per instance: the router
 // streams commands (advance watermark, feed arrival, read state, close)
 // into per-instance queues, so instances execute concurrently with each
@@ -199,7 +125,7 @@ func (r *Result) Err() error {
 // all, and state-reading ones synchronize exactly at each arrival's
 // virtual instant. The result is byte-identical to RunSerial.
 func Run(cfg Config) (*Result, error) {
-	sc, pol, maxLevels, err := prepare(&cfg)
+	res, dec, order, maxLevels, err := prepare(&cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -213,90 +139,87 @@ func Run(cfg Config) (*Result, error) {
 		// The OpenLive is created here and handed to the worker
 		// goroutine: creation happens-before the goroutine starts, and
 		// from then on the worker is its sole owner.
-		go runInstance(newInstance(&cfg, sc, maxLevels, i), cfg.Streams, d.ws[i])
+		go runInstance(newInstance(&cfg, maxLevels, i), cfg.Streams, d.ws[i])
 	}
-	return runCluster(&cfg, pol, sc, d)
+	return runCluster(&cfg, res, dec, order, d)
 }
 
 // RunSerial is the cluster's executable specification: the identical
 // router loop driving all instances from one goroutine. Results are
-// byte-for-byte what Run produces; with a warm Scratch at Workers = 1
-// the steady state is allocation-free, which pins the router hot path's
-// zero-allocation contract.
+// byte-for-byte what Run produces, and at Workers = 1 the router's
+// steady state allocates nothing per arrival, which pins the router hot
+// path's zero-allocation contract.
 func RunSerial(cfg Config) (*Result, error) {
-	sc, pol, maxLevels, err := prepare(&cfg)
+	res, dec, order, maxLevels, err := prepare(&cfg)
 	if err != nil {
 		return nil, err
 	}
-	d := &sc.serial
-	*d = serialDriver{lives: sc.lives, streams: cfg.Streams, errs: sc.errs}
-	for i := 0; i < cfg.Instances; i++ {
-		d.lives[i] = newInstance(&cfg, sc, maxLevels, i)
+	d := &serialDriver{lives: make([]*fleet.OpenLive, cfg.Instances), streams: cfg.Streams, errs: make([]error, cfg.Instances)}
+	for i := range d.lives {
+		d.lives[i] = newInstance(&cfg, maxLevels, i)
 	}
-	return runCluster(&cfg, pol, sc, d)
+	return runCluster(&cfg, res, dec, order, d)
 }
 
-// prepare validates the configuration, sizes the scratch and sorts the
-// global arrival order.
-func prepare(cfg *Config) (*Scratch, Policy, int, error) {
+// prepare validates the configuration, resolves a nil Route to
+// RoundRobin and allocates the run's working memory: the Result with its
+// routing record, the Decision with its pending counts, instance states
+// and policy draw stream, and the global arrival order, sorted.
+func prepare(cfg *Config) (res *Result, dec *Decision, order []int32, maxLevels int, err error) {
 	if cfg.Instances <= 0 {
-		return nil, nil, 0, fmt.Errorf("cluster: non-positive instance count %d", cfg.Instances)
+		return nil, nil, nil, 0, fmt.Errorf("cluster: non-positive instance count %d", cfg.Instances)
 	}
-	n := len(cfg.Streams)
+	n, m := len(cfg.Streams), cfg.Instances
 	if n == 0 {
-		return nil, nil, 0, errors.New("cluster: no streams")
+		return nil, nil, nil, 0, errors.New("cluster: no streams")
 	}
 	if len(cfg.Arrivals) != n {
-		return nil, nil, 0, fmt.Errorf("cluster: %d streams but %d arrival instants", n, len(cfg.Arrivals))
+		return nil, nil, nil, 0, fmt.Errorf("cluster: %d streams but %d arrival instants", n, len(cfg.Arrivals))
 	}
-	maxLevels := 0
 	for k := range cfg.Streams {
 		if t := cfg.Arrivals[k]; t < 0 || t.IsInf() {
-			return nil, nil, 0, fmt.Errorf("cluster: stream %d has invalid arrival instant %v", k, t)
+			return nil, nil, nil, 0, fmt.Errorf("cluster: stream %d has invalid arrival instant %v", k, t)
 		}
 		if sys := cfg.Streams[k].Runner.Sys; sys != nil && sys.NumLevels() > maxLevels {
 			maxLevels = sys.NumLevels()
 		}
 	}
-	if cfg.Obs != nil && len(cfg.Obs) < cfg.Instances {
-		return nil, nil, 0, fmt.Errorf("cluster: %d metric bundles for %d instances", len(cfg.Obs), cfg.Instances)
+	if cfg.Obs != nil && len(cfg.Obs) < m {
+		return nil, nil, nil, 0, fmt.Errorf("cluster: %d metric bundles for %d instances", len(cfg.Obs), m)
 	}
-	pol := cfg.Route
-	if pol == nil {
-		pol = RoundRobin{}
+	if cfg.Route == nil {
+		cfg.Route = RoundRobin{}
 	}
-	sc := cfg.Scratch
-	if sc == nil {
-		sc = NewScratch()
+	res = &Result{
+		Instances: make([]*fleet.OpenResult, m),
+		Assign:    make([]int32, n),
+		Local:     make([]int32, n),
+		Routed:    make([]int, m),
+		Policy:    cfg.Route.Name(),
 	}
-	sc.ensure(cfg.Instances, n)
-	order := sc.order[:0]
-	for k := 0; k < n; k++ {
-		order = append(order, int32(k))
+	dec = &Decision{Pending: make([]int, m), RNG: &PolicyRNG{state: fleet.ForSubsystem(cfg.Seed, "cluster/router")}}
+	if cfg.Route.NeedsState() {
+		dec.States = make([]InstanceState, m)
+	}
+	order = make([]int32, n)
+	for k := range order {
+		order[k] = int32(k)
 	}
 	// Stable by instant: simultaneous arrivals keep index order, the
 	// same (instant, index) event order as the single-engine spec.
 	slices.SortStableFunc(order, func(a, b int32) int {
-		switch {
-		case cfg.Arrivals[a] < cfg.Arrivals[b]:
-			return -1
-		case cfg.Arrivals[a] > cfg.Arrivals[b]:
-			return 1
-		}
-		return 0
+		return cmp.Compare(cfg.Arrivals[a], cfg.Arrivals[b])
 	})
-	sc.order = order
-	return sc, pol, maxLevels, nil
+	return res, dec, order, maxLevels, nil
 }
 
-// newInstance starts instance i's incremental engine on its own scratch.
-func newInstance(cfg *Config, sc *Scratch, maxLevels, i int) *fleet.OpenLive {
+// newInstance starts instance i's incremental engine.
+func newInstance(cfg *Config, maxLevels, i int) *fleet.OpenLive {
 	lc := fleet.OpenLiveConfig{
 		Admit:       cfg.Admit,
 		Workers:     cfg.Workers,
 		BatchCycles: cfg.BatchCycles,
 		MaxLevels:   maxLevels,
-		Scratch:     sc.open[i],
 	}
 	if cfg.Obs != nil {
 		lc.Obs = cfg.Obs[i]
@@ -323,30 +246,26 @@ type driver interface {
 	// first instance error. Zero-routed instances are aborted and get
 	// an empty result (Close on an empty engine is the no-streams
 	// error, which routing made legitimate here).
-	finish(routed []int, results []*fleet.OpenResult, empty []fleet.OpenResult) error
+	finish(routed []int, results []*fleet.OpenResult) error
 	// abort tears every instance down without sealing (router error).
 	abort()
 }
 
 // runCluster is the shared router loop: the single place routing
 // semantics are defined, so the spec and the concurrent engine cannot
-// drift.
+// drift. It routes into the memory prepare allocated.
 //
 //detlint:hotpath
-func runCluster(cfg *Config, pol Policy, sc *Scratch, d driver) (*Result, error) {
-	n, m := len(cfg.Streams), cfg.Instances
+func runCluster(cfg *Config, res *Result, dec *Decision, order []int32, d driver) (*Result, error) {
+	pol, m := cfg.Route, cfg.Instances
 	needs := pol.NeedsState()
-	sc.rng = PolicyRNG{state: fleet.ForSubsystem(cfg.Seed, "cluster/router")}
-	dec := &sc.dec
-	*dec = Decision{Pending: sc.pending, RNG: &sc.rng}
 	lastT := core.Time(-1)
-	for ord := 0; ord < n; ord++ {
-		k := sc.order[ord]
+	for ord, k := range order {
 		t := cfg.Arrivals[k]
 		if t != lastT {
 			// A new instant: every previously routed arrival is now
 			// visible in instance state once the watermark reaches t−1.
-			clear(sc.pending)
+			clear(dec.Pending)
 			lastT = t
 		}
 		if needs {
@@ -355,8 +274,7 @@ func runCluster(cfg *Config, pol Policy, sc *Scratch, d driver) (*Result, error)
 			// advancing through t would let a same-instant departure
 			// retire between two simultaneous arrivals' decisions.
 			d.advance(t - 1)
-			d.states(sc.states)
-			dec.States = sc.states
+			d.states(dec.States)
 		}
 		dec.Stream = &cfg.Streams[k]
 		dec.K = int(k)
@@ -368,24 +286,16 @@ func runCluster(cfg *Config, pol Policy, sc *Scratch, d driver) (*Result, error)
 			//detlint:allow hotpathalloc terminal abort on a misrouting policy, never taken at steady state
 			return nil, fmt.Errorf("cluster: policy %q routed stream %d to instance %d of %d", pol.Name(), k, i, m)
 		}
-		sc.assign[k] = int32(i)
-		sc.local[k] = int32(sc.routed[i])
-		sc.routed[i]++
-		sc.pending[i]++
+		res.Assign[k] = int32(i)
+		res.Local[k] = int32(res.Routed[i])
+		res.Routed[i]++
+		dec.Pending[i]++
 		d.feed(i, k, t)
 	}
-	if err := d.finish(sc.routed, sc.results, sc.empty); err != nil {
+	if err := d.finish(res.Routed, res.Instances); err != nil {
 		return nil, err
 	}
-	res := &sc.res
-	*res = Result{
-		Instances: sc.results,
-		Assign:    sc.assign,
-		Local:     sc.local,
-		Routed:    sc.routed,
-		Policy:    pol.Name(),
-	}
-	res.Global = mergeObservations(sc, res)
+	res.Global = mergeObservations(res)
 	return res, nil
 }
 
@@ -393,7 +303,7 @@ func runCluster(cfg *Config, pol Policy, sc *Scratch, d driver) (*Result, error)
 // sealed per-instance results: lifecycles back in global stream order
 // via the (Assign, Local) routing record, backlog integral summed,
 // window bounds min/max over the instances that saw traffic.
-func mergeObservations(sc *Scratch, r *Result) metrics.OpenObservations {
+func mergeObservations(r *Result) metrics.OpenObservations {
 	var o metrics.OpenObservations
 	first := true
 	for _, inst := range r.Instances {
@@ -412,16 +322,15 @@ func mergeObservations(sc *Scratch, r *Result) metrics.OpenObservations {
 		}
 		o.BacklogIntegral += inst.BacklogIntegral
 	}
-	sc.lifecycles = sc.lifecycles[:0]
+	o.Lifecycles = make([]metrics.Lifecycle, len(r.Assign))
 	for k := range r.Assign {
-		sc.lifecycles = append(sc.lifecycles, r.Instances[r.Assign[k]].Lifecycles[r.Local[k]])
+		o.Lifecycles[k] = r.Instances[r.Assign[k]].Lifecycles[r.Local[k]]
 	}
-	o.Lifecycles = sc.lifecycles
 	return o
 }
 
 // serialDriver drives every instance from the router's own goroutine —
-// the executable spec, and the allocation-free steady-state form.
+// the executable spec.
 type serialDriver struct {
 	lives   []*fleet.OpenLive
 	streams []fleet.Stream
@@ -448,7 +357,7 @@ func (d *serialDriver) feed(i int, k int32, t core.Time) {
 	}
 }
 
-func (d *serialDriver) finish(routed []int, results []*fleet.OpenResult, empty []fleet.OpenResult) error {
+func (d *serialDriver) finish(routed []int, results []*fleet.OpenResult) error {
 	var firstErr error
 	for i, ol := range d.lives {
 		switch {
@@ -459,8 +368,7 @@ func (d *serialDriver) finish(routed []int, results []*fleet.OpenResult, empty [
 			}
 		case routed[i] == 0:
 			ol.Abort()
-			empty[i] = fleet.OpenResult{}
-			results[i] = &empty[i]
+			results[i] = &fleet.OpenResult{}
 		default:
 			res, err := ol.Close()
 			if err != nil {
@@ -569,7 +477,7 @@ func (d *concDriver) feed(i int, k int32, t core.Time) {
 	d.ws[i].cmds <- instCmd{op: opFeed, t: t, k: k}
 }
 
-func (d *concDriver) finish(routed []int, results []*fleet.OpenResult, empty []fleet.OpenResult) error {
+func (d *concDriver) finish(routed []int, results []*fleet.OpenResult) error {
 	// Broadcast the closes before collecting anything: every instance's
 	// final drain runs concurrently — this overlap is the cluster's
 	// instance-level parallelism at its widest.
@@ -586,8 +494,7 @@ func (d *concDriver) finish(routed []int, results []*fleet.OpenResult, empty []f
 		close(d.ws[i].cmds)
 		switch {
 		case routed[i] == 0:
-			empty[i] = fleet.OpenResult{}
-			results[i] = &empty[i]
+			results[i] = &fleet.OpenResult{}
 		case dn.err != nil:
 			if firstErr == nil {
 				firstErr = fmt.Errorf("cluster: instance %d: %w", i, dn.err)

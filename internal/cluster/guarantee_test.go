@@ -61,7 +61,7 @@ func TestClusterWorstCaseNoMisses(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			if err := res.Err(); err != nil {
+			if err := res.FleetResult().Err(); err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
 			deadlines := 0

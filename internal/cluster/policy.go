@@ -62,9 +62,6 @@ type Decision struct {
 	RNG *PolicyRNG
 }
 
-// Instances returns the cluster width M.
-func (d *Decision) Instances() int { return len(d.Pending) }
-
 // Policy assigns each arriving stream to an engine instance. Route must
 // be a pure function of the Decision (plus draws from its RNG, which
 // the router replays in serial order): the cluster's byte-for-byte
@@ -77,7 +74,7 @@ type Policy interface {
 	// policies skip the per-arrival instance watermark synchronization
 	// entirely, so the router never blocks on instance progress.
 	NeedsState() bool
-	// Route returns the target instance in [0, Instances()).
+	// Route returns the target instance in [0, len(d.Pending)).
 	Route(d *Decision) int
 }
 

@@ -79,8 +79,7 @@ type LiveSlot struct {
 // Taking a capture copies only the open state. A capture taken from a
 // run views that run's result cells for its closed streams, which the
 // engine never writes again once a stream has closed, so the capture
-// stays valid for the rest of the run; like an OpenResult, a capture of
-// a run that used a scratch is valid only until the scratch's next run.
+// stays valid for as long as it is held.
 type OpenCapture struct {
 	// Events counts the event groups processed so far — the engine's
 	// checkpoint-boundary clock.
@@ -171,7 +170,7 @@ func (f *openFrontier) checkpoint() *OpenCapture {
 // the live histograms share one slab. Nothing here grows with the
 // number of closed streams.
 func (f *openFrontier) capture() *OpenCapture {
-	a := f.arena
+	a := &f.arena
 	slots := int(a.allocated.Load())
 	nLive, cells := 0, 0
 	for slot := 0; slot < slots; slot++ {
@@ -381,14 +380,14 @@ func (f *openFrontier) restore(c *OpenCapture) error {
 		if cs.Err != "" {
 			sr.Err = errors.New(cs.Err)
 		} else {
-			f.sc.traces[k] = cs.Trace
-			sr.Trace = &f.sc.traces[k]
+			f.traces[k] = cs.Trace
+			sr.Trace = &f.traces[k]
 		}
 		// The sink returns to its slab window with harvestSlot's copy
 		// discipline (an empty histogram is nil, not zero-length).
-		s := &f.sc.stats[k]
+		s := &f.stats[k]
 		base := int(k) * f.maxLevels
-		s.Init(f.sc.hist[base : base : base+f.maxLevels])
+		s.Init(f.hist[base : base : base+f.maxLevels])
 		s.RestoreState(cs.Sink)
 		if len(s.QualityHist) == 0 {
 			s.QualityHist = nil

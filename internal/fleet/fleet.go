@@ -27,6 +27,10 @@
 // no record is retained: results carry each stream's scalar trace and
 // its sink. A caller that needs the records themselves tees a sink in
 // through Export; the serial sim.Runner still retains them.
+//
+// Each run owns its working memory: every OpenLive builds a fresh
+// frontier with its own slabs, slot arena and result, so no result or
+// capture aliases memory that another run writes.
 package fleet
 
 import (

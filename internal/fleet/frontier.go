@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/multitask"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -41,47 +40,11 @@ import (
 // in the background — byte-identical traces, lifecycles and admission
 // decisions at any (workers, batch), property-tested against the spec.
 
-// OpenScratch amortizes the continuous open engine's working memory
-// across runs: the slot arena's chunks, the frontier with its
-// population slabs, heaps and backlog ring, and the per-stream result
-// slabs are all retained and reused, so a steady-state run with a warm
-// scratch performs zero heap allocations end to end (proved by
-// TestOpenSteadyStateAllocationFree).
-//
-// A scratch may be used by one run at a time, and the OpenResult of a
-// run that used a scratch aliases it: the result is valid only until
-// the scratch's next run. Callers that keep results across runs must
-// either deep-copy them or forgo the scratch (a nil OpenConfig.Scratch
-// allocates a private one per run).
-type OpenScratch struct {
-	arena    openArena
-	frontier openFrontier
-	inline   inlineExec
-	res      OpenResult
-
-	lifecycles []metrics.Lifecycle
-	streams    []StreamResult
-
-	traces []sim.Trace
-	stats  []sim.StatsSink
-	hist   []int
-
-	// live is the scratch-resident OpenLive header every run drives, so
-	// a warm run (a cluster instance per routed window, say) allocates
-	// nothing at all — not even the driver struct. Like res, it is valid
-	// only until the scratch's next run.
-	live OpenLive
-}
-
-// NewOpenScratch returns an empty scratch; it warms up over the first
-// run and is reusable for any open configuration (slab shapes adapt).
-func NewOpenScratch() *OpenScratch { return new(OpenScratch) }
-
 // depEvent is a (instant, stream) entry of the frontier's two binary
 // heaps: exact departures, and departure lower bounds of in-flight
 // streams. Ordering is (t, k) — the same index tie-break as the serial
 // spec's container/heap form, hand-rolled so pushes never box into an
-// interface and the warm steady state stays allocation-free.
+// interface and the steady state stays allocation-free.
 type depEvent struct {
 	t core.Time
 	k int32
@@ -89,7 +52,7 @@ type depEvent struct {
 
 //detlint:hotpath
 func depPush(h *[]depEvent, e depEvent) {
-	//detlint:allow hotpathalloc growth amortized by the scratch-owned backing array
+	//detlint:allow hotpathalloc growth amortized by the frontier-owned backing array
 	*h = append(*h, e)
 	s := *h
 	i := len(s) - 1
@@ -161,13 +124,17 @@ type openExec interface {
 // verbatim by the single-threaded and concurrent executors; only
 // wall-clock time depends on who runs the streams.
 //
-// The frontier lives in the scratch and owns its slabs — the population
-// (streams through final), the close order, both heaps and the backlog
-// ring: appendStream, finish and blPush grow them, and newOpenLive
-// empties them for the next run without dropping their backing arrays.
+// The frontier owns its run's memory: the population (streams through
+// final), the close order, both heaps, the backlog ring, the slot arena,
+// the inline executor and the result with its per-stream cells.
+// appendStream, finish and blPush grow what grows; newOpenLive builds a
+// fresh frontier for every run, so nothing is shared across runs.
 type openFrontier struct {
+	// arena comes first, apart from the event loop's hot scalars below:
+	// workers read its header words on every claim.
+	arena openArena
+
 	streams   []Stream
-	sc        *OpenScratch
 	n         int
 	maxLevels int
 	adm       Admitter
@@ -198,9 +165,17 @@ type openFrontier struct {
 	look    int   // ready slots published per executor wake (lookahead; tests vary it)
 	starts  int   // ready slots admitted since the last flushStarts
 
-	arena *openArena
-	res   *OpenResult
-	exec  openExec
+	inline inlineExec
+	exec   openExec
+
+	// res is the run's result: res.Streams and res.Lifecycles are the
+	// per-stream result slabs, and a harvested stream's Trace and Stats
+	// point into traces and stats, its histogram into hist (maxLevels
+	// cells per stream).
+	res    OpenResult
+	traces []sim.Trace
+	stats  []sim.StatsSink
+	hist   []int
 
 	// met and tr are the optional observability hooks (OpenConfig.Obs /
 	// .Trace). Both are nil-tolerant: met gates each metric group behind
@@ -220,11 +195,10 @@ func (f *openFrontier) attachExec(n, workers, batch int) {
 		batch = DefaultBatchCycles
 	}
 	if workers = sim.EffectiveWorkers(n, workers); workers == 1 {
-		f.sc.inline.batch = batch
-		f.sc.inline.met = f.met
-		f.exec = &f.sc.inline
+		f.inline = inlineExec{batch: batch, met: f.met}
+		f.exec = &f.inline
 	} else {
-		f.exec = newOpenSched(f.arena, workers, batch, f.met, f.tr)
+		f.exec = newOpenSched(&f.arena, workers, batch, f.met, f.tr)
 	}
 }
 
@@ -439,13 +413,6 @@ func (f *openFrontier) finishRun() {
 	f.res.Final = f.lastDep
 }
 
-// pending reports whether any admitted stream's departure is still
-// unresolved (ignoring lazily-deleted bound entries).
-func (f *openFrontier) pending() bool {
-	_, ok := f.pendMin()
-	return ok
-}
-
 // pendMin returns the smallest unresolved departure bound, discarding
 // entries whose stream has since resolved (lazy deletion keeps the heap
 // free of random-access removals).
@@ -526,11 +493,11 @@ func (f *openFrontier) flushStarts() {
 // frontier finishes them inside drain, so all result slabs stay
 // single-writer.
 func (f *openFrontier) finish(slot int32) {
-	a := f.arena
+	a := &f.arena
 	k := a.slotStream[slot]
 	sr := &f.res.Streams[k]
 	base := int(k) * f.maxLevels
-	a.slotTbl[slot].harvestSlot(int(a.slotIdx[slot]), sr, &f.sc.traces[k], &f.sc.stats[k], f.sc.hist[base:base+f.maxLevels])
+	a.slotTbl[slot].harvestSlot(int(a.slotIdx[slot]), sr, &f.traces[k], &f.stats[k], f.hist[base:base+f.maxLevels])
 	a.release(slot)
 	lc := &f.res.Lifecycles[k]
 	d := lc.Admitted
@@ -582,7 +549,7 @@ func (e *inlineExec) drain(f *openFrontier, block bool) {
 	if !block {
 		return
 	}
-	a := f.arena
+	a := &f.arena
 	for {
 		finished, live := false, false
 		n := int(a.allocated.Load())

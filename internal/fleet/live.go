@@ -34,13 +34,6 @@ type OpenLiveConfig struct {
 	// Trace, when non-nil, records engine events into a bounded ring
 	// exactly as OpenConfig.Trace does.
 	Trace *obs.Trace
-	// Scratch, when non-nil, amortizes the run's working memory exactly
-	// as OpenConfig.Scratch does: slot-arena chunks, heaps, population
-	// slabs and result slabs are reused, so a warm steady-state live run
-	// at Workers = 1 is allocation-free end to end. The same aliasing
-	// rule applies — the sealed OpenResult is valid only until the
-	// scratch's next run.
-	Scratch *OpenScratch
 }
 
 // OpenLive is the engine's one driver: every run of the deterministic
@@ -60,7 +53,6 @@ type OpenLiveConfig struct {
 // An OpenLive belongs to one goroutine; the concurrency inside (the
 // executor pool) is the engine's own.
 type OpenLive struct {
-	sc      *OpenScratch
 	f       *openFrontier
 	lastFed core.Time
 	closed  bool
@@ -72,43 +64,26 @@ func NewOpenLive(cfg OpenLiveConfig) *OpenLive {
 	return newOpenLive(cfg, nil, 0)
 }
 
-// newOpenLive starts an empty run on the scratch-resident frontier — the
-// one place a frontier is built. loadOpen passes what OpenLiveConfig
-// does not carry: export is OpenConfig.Export, and n is the population
-// about to be loaded, which sizes the arena's indirection arrays once
-// and caps the pool. A live run passes n = 0: its arrays grow as it is
-// fed, and its pool is uncapped.
+// newOpenLive starts an empty run on a fresh frontier — the one place a
+// frontier is built. loadOpen passes what OpenLiveConfig does not carry:
+// export is OpenConfig.Export, and n is the population about to be
+// loaded, which sizes the arena's indirection arrays once and caps the
+// pool. A live run passes n = 0: its arrays grow as it is fed, and its
+// pool is uncapped.
 func newOpenLive(cfg OpenLiveConfig, export func(int, string) sim.Sink, n int) *OpenLive {
-	sc := cfg.Scratch
-	if sc == nil {
-		sc = NewOpenScratch()
-	}
 	adm := cfg.Admit
 	if adm == nil {
 		adm = AdmitAll{}
 	}
-	// The frontier's slabs restart empty but keep their backing arrays:
-	// on a warm scratch every appendStream is a capacity-reusing append.
-	f := &sc.frontier
-	*f = openFrontier{sc: sc, maxLevels: cfg.MaxLevels, adm: adm, look: lookahead,
-		arena: &sc.arena, res: &sc.res, met: cfg.Obs, tr: cfg.Trace,
-		streams: f.streams[:0], arr: f.arr[:0], order: f.order[:0], util: f.util[:0],
-		minFin: f.minFin[:0], final: f.final[:0], closed: f.closed[:0], dep: f.dep[:0], pend: f.pend[:0],
-		backlog: f.backlog}
-	sc.arena.reset(n, export, cfg.MaxLevels)
-	sc.lifecycles, sc.streams = sc.lifecycles[:0], sc.streams[:0]
-	sc.traces, sc.stats, sc.hist = sc.traces[:0], sc.stats[:0], sc.hist[:0]
-	sc.res = OpenResult{}
+	f := &openFrontier{maxLevels: cfg.MaxLevels, adm: adm, look: lookahead, met: cfg.Obs, tr: cfg.Trace}
+	f.arena.export, f.arena.maxLevels = export, cfg.MaxLevels
+	f.arena.ensurePopulation(n)
 	pool := math.MaxInt
 	if n > 0 {
 		pool = n
 	}
 	f.attachExec(pool, cfg.Workers, cfg.BatchCycles)
-	// The returned header lives in the scratch: a warm NewOpenLive
-	// performs no allocation whatsoever.
-	ol := &sc.live
-	*ol = OpenLive{sc: sc, f: f}
-	return ol
+	return &OpenLive{f: f}
 }
 
 // loadOpen validates a batch configuration and loads its population
@@ -127,7 +102,7 @@ func loadOpen(cfg *OpenConfig) (*OpenLive, error) {
 		}
 	}
 	ol := newOpenLive(OpenLiveConfig{Admit: cfg.Admit, Workers: cfg.Workers, BatchCycles: cfg.BatchCycles,
-		MaxLevels: maxLevels, Obs: cfg.Obs, Trace: cfg.Trace, Scratch: cfg.Scratch},
+		MaxLevels: maxLevels, Obs: cfg.Obs, Trace: cfg.Trace},
 		cfg.Export, len(cfg.Streams))
 	ol.reserve(len(cfg.Streams))
 	for k := range cfg.Streams {
@@ -180,7 +155,7 @@ func (ol *OpenLive) Feed(s Stream, t core.Time) error {
 // already harvested keep pointing into the old backing, which is never
 // mutated again.
 func (ol *OpenLive) appendStream(s Stream, t core.Time) {
-	f, sc := ol.f, ol.sc
+	f := ol.f
 	k := f.n
 	f.streams = append(f.streams, s)
 	f.arr = append(f.arr, t)
@@ -189,19 +164,17 @@ func (ol *OpenLive) appendStream(s Stream, t core.Time) {
 	f.util = append(f.util, u)
 	f.minFin = append(f.minFin, mf)
 	f.final = append(f.final, false)
-	sc.lifecycles = append(sc.lifecycles, metrics.Lifecycle{Name: s.Name, Arrival: t})
-	sc.streams = append(sc.streams, StreamResult{Name: s.Name})
-	sc.traces = append(sc.traces, sim.Trace{})
-	sc.stats = append(sc.stats, sim.StatsSink{})
+	f.res.Lifecycles = append(f.res.Lifecycles, metrics.Lifecycle{Name: s.Name, Arrival: t})
+	f.res.Streams = append(f.res.Streams, StreamResult{Name: s.Name})
+	f.traces = append(f.traces, sim.Trace{})
+	f.stats = append(f.stats, sim.StatsSink{})
 	for i := 0; i < f.maxLevels; i++ {
-		// Element-wise, not append(…, make(…)…): the spread form builds
-		// a temporary slice per feed and would cost the warm scratch its
-		// allocation-free steady state.
-		sc.hist = append(sc.hist, 0)
+		// Element-wise, not append(…, make(…)…): under -race the
+		// compiler does not fuse the spread form, and its temporary
+		// slice would cost one allocation per feed.
+		f.hist = append(f.hist, 0)
 	}
 	f.n = k + 1
-	sc.res.Streams = sc.streams
-	sc.res.Lifecycles = sc.lifecycles
 	if k == 0 {
 		f.lastT = t
 		f.res.FirstArrival = t
@@ -210,10 +183,9 @@ func (ol *OpenLive) appendStream(s Stream, t core.Time) {
 
 // reserve sizes every per-stream slab, and the close order, for n more
 // streams at once, so a population loaded or re-fed in one go grows each
-// slab once instead of one appendStream at a time. On a warm scratch it
-// reuses the slabs' capacity and allocates nothing.
+// slab once instead of one appendStream at a time.
 func (ol *OpenLive) reserve(n int) {
-	f, sc := ol.f, ol.sc
+	f := ol.f
 	f.streams = slices.Grow(f.streams, n)
 	f.arr = slices.Grow(f.arr, n)
 	f.order = slices.Grow(f.order, n)
@@ -221,11 +193,11 @@ func (ol *OpenLive) reserve(n int) {
 	f.minFin = slices.Grow(f.minFin, n)
 	f.final = slices.Grow(f.final, n)
 	f.closed = slices.Grow(f.closed, n)
-	sc.lifecycles = slices.Grow(sc.lifecycles, n)
-	sc.streams = slices.Grow(sc.streams, n)
-	sc.traces = slices.Grow(sc.traces, n)
-	sc.stats = slices.Grow(sc.stats, n)
-	sc.hist = slices.Grow(sc.hist, n*f.maxLevels)
+	f.res.Lifecycles = slices.Grow(f.res.Lifecycles, n)
+	f.res.Streams = slices.Grow(f.res.Streams, n)
+	f.traces = slices.Grow(f.traces, n)
+	f.stats = slices.Grow(f.stats, n)
+	f.hist = slices.Grow(f.hist, n*f.maxLevels)
 }
 
 // growArena widens the arena's flat indirection arrays to the fed
@@ -359,5 +331,5 @@ func (ol *OpenLive) Close() (*OpenResult, error) {
 	for ol.f.step(core.TimeInf) {
 	}
 	ol.f.finishRun()
-	return ol.f.res, nil
+	return &ol.f.res, nil
 }

@@ -45,12 +45,6 @@ type OpenConfig struct {
 	// none, so one sim.TraceSink per stream collects what a serial
 	// sim.Runner would have retained.
 	Export func(k int, name string) sim.Sink
-	// Scratch, when non-nil, amortizes the continuous engine's working
-	// memory across runs: slot-arena chunks, frontier heaps and result
-	// slabs are reused, making a warm steady-state run allocation-free.
-	// The returned OpenResult then aliases the scratch and is valid only
-	// until its next run. The serial spec ignores it.
-	Scratch *OpenScratch
 	// Obs, when non-nil, enables the engine's metric hooks: the frontier
 	// feeds the serial-order instruments (arrivals, verdicts, backlog
 	// accounting, event groups) and the executor feeds the

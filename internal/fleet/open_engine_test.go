@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/multitask"
 	"repro/internal/obs"
-	"repro/internal/sim"
 )
 
 // skewedStreams builds an open-engine stress population: stream lengths
@@ -53,8 +52,7 @@ func compareOpen(t *testing.T, label string, want, got *OpenResult) {
 // acceptance property: for a stress population (streams ≫ workers,
 // skewed lengths, a bind failure, work-conserving members) under every
 // arrival model × admission policy, the wave-free engine reproduces the
-// serial spec byte for byte at any (workers, batch) — with one
-// scratch reused across every shape, so stale-state bugs cannot hide.
+// serial spec byte for byte at any (workers, batch).
 func TestOpenContinuousMatchesSerialSpec(t *testing.T) {
 	const n = 36
 	streams := skewedStreams(t, n, 29)
@@ -67,7 +65,6 @@ func TestOpenContinuousMatchesSerialSpec(t *testing.T) {
 		Budget{CPU: 2.5 * u, Queue: 3},
 	}
 	shapes := []struct{ workers, batch int }{{1, 0}, {2, 1}, {4, 32}, {8, 3}}
-	scratch := NewOpenScratch()
 	for model, times := range openProcesses(t, n) {
 		for _, adm := range admitters {
 			ref, err := OpenRunStatsSerial(OpenConfig{Streams: streams, Arrivals: times, Admit: adm, Workers: 3})
@@ -81,7 +78,6 @@ func TestOpenContinuousMatchesSerialSpec(t *testing.T) {
 					Admit:       adm,
 					Workers:     shape.workers,
 					BatchCycles: shape.batch,
-					Scratch:     scratch,
 				})
 				if err != nil {
 					t.Fatalf("%s/%s: %v", model, adm.Name(), err)
@@ -117,157 +113,80 @@ func TestOpenRetainedContinuousMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestOpenScratchReuseAcrossConfigs reuses one scratch across runs of
-// different shapes — population size, slab shape (hetStreams have 4
-// quality levels, mixedStreams 6, so the arena drops its chunks),
-// policy, worker count — and checks each against a scratch-free run:
-// nothing from an earlier run may leak into a later one.
-func TestOpenScratchReuseAcrossConfigs(t *testing.T) {
-	big := skewedStreams(t, 24, 41)
-	small := mixedStreams(t, 5, 2, 43)
-	het := hetStreams(t, 5, 43)
-	u := multitask.Utilization(big[0].Runner.Sys, big[0].Runner.Sys.QMin(), big[0].Runner.Period)
-	poisson, err := arrivals.Poisson{MeanGap: 10 * core.Millisecond, Seed: 23}.Times(len(big))
-	if err != nil {
-		t.Fatal(err)
-	}
-	together, err := arrivals.Fixed{}.Times(len(small))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct {
-		name string
-		cfg  OpenConfig
-	}{
-		{"big-stats-cap", OpenConfig{Streams: big, Arrivals: poisson, Admit: CapK{K: 2, Queue: 1}, Workers: 2}},
-		{"small-het-all", OpenConfig{Streams: het, Arrivals: together, Workers: 4}},
-		{"big-stats-budget", OpenConfig{Streams: big, Arrivals: poisson, Admit: Budget{CPU: 2 * u, Queue: -1}, Workers: 1}},
-		{"small-stats-all", OpenConfig{Streams: small, Arrivals: together, Workers: 1}},
-	}
-	scratch := NewOpenScratch()
-	for _, tc := range cases {
-		want, err := OpenRunStats(tc.cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		cfg := tc.cfg
-		cfg.Scratch = scratch
-		got, err := OpenRunStats(cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		// Compare before the scratch's next run: got aliases it.
-		compareOpen(t, tc.name, want, got)
-	}
-}
-
-// countSink counts observed records; safe for one stream each.
-type countSink struct{ n int }
-
-func (s *countSink) Observe(sim.Record) { s.n++ }
-
-// TestOpenScratchExportReplaced pins the export hook against scratch
-// reuse: chunks retained from an earlier run must tee into the *new*
-// run's export sinks, not the closure they were grown with (a run
-// without export followed by one with export previously left retained
-// chunks exporting nothing).
-func TestOpenScratchExportReplaced(t *testing.T) {
-	streams := mixedStreams(t, 6, 2, 53)
-	times, err := arrivals.Fixed{}.Times(len(streams))
-	if err != nil {
-		t.Fatal(err)
-	}
-	scratch := NewOpenScratch()
-	cfg := OpenConfig{Streams: streams, Arrivals: times, Workers: 2, Scratch: scratch}
-	if _, err := OpenRunStats(cfg); err != nil { // grows chunks with a nil export
-		t.Fatal(err)
-	}
-	sinks := make([]countSink, len(streams))
-	cfg.Export = func(k int, _ string) sim.Sink { return &sinks[k] }
-	res, err := OpenRunStats(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := range streams {
-		if want := res.Streams[k].Stats.Records; sinks[k].n != want {
-			t.Fatalf("stream %d: export sink saw %d of %d records (stale chunk export hook?)", k, sinks[k].n, want)
-		}
-	}
-}
-
 // TestOpenSteadyStateAllocationFree is the open-engine mirror of
-// TestStreamStepAllocationFree: once the scratch is warm, a whole
-// steady-state open run — arrival ordering, admission decisions, slot
-// binding, execution, harvest and lifecycle bookkeeping — performs zero
-// heap allocations under StatsSink at workers = 1 (the goroutine-free
+// TestStreamStepAllocationFree. Every run allocates its own working
+// memory, but nothing on its steady-state path — arrival ordering,
+// admission decisions, slot binding, execution, harvest and lifecycle
+// bookkeeping — allocates per stream: at workers = 1 (the goroutine-free
 // inline executor; a concurrent pool costs O(workers) allocations per
-// run for its stacks, which the benchmark rows bound).
+// run for its stacks, which the benchmark rows bound) a run allocates
+// exactly as often at 256 streams as at 16. That holds with the metric
+// hooks on, and for the live driver fed one arrival at a time once its
+// slabs are reserved.
 func TestOpenSteadyStateAllocationFree(t *testing.T) {
-	streams := mixedStreams(t, 8, 3, 47)
+	small, large := boundedAllocs(t, OpenRunStats)
+	if small != large {
+		t.Fatalf("open run allocates %.0f times at 16 streams and %.0f at 256, want the same", small, large)
+	}
+
+	// The metric hooks must not cost the property.
+	m := obs.NewFleetMetrics(obs.NewRegistry("t"))
+	small, large = boundedAllocs(t, func(cfg OpenConfig) (*OpenResult, error) {
+		cfg.Obs = m
+		return OpenRunStats(cfg)
+	})
+	if small != large {
+		t.Fatalf("open run with metrics allocates %.0f times at 16 streams and %.0f at 256, want the same", small, large)
+	}
+
+	// The incremental driver: create, feed, advance, state reads, close.
+	small, large = boundedAllocs(t, func(cfg OpenConfig) (*OpenResult, error) {
+		n, maxLevels := len(cfg.Streams), 0
+		for k := range cfg.Streams {
+			maxLevels = max(maxLevels, cfg.Streams[k].Runner.Sys.NumLevels())
+		}
+		ol := newOpenLive(OpenLiveConfig{Admit: cfg.Admit, Workers: 1, MaxLevels: maxLevels}, nil, n)
+		ol.reserve(n)
+		for k, s := range cfg.Streams {
+			if err := ol.Advance(cfg.Arrivals[k] - 1); err != nil {
+				return nil, err
+			}
+			_ = ol.Backlog() + ol.InService()
+			_ = ol.CPULoad()
+			if err := ol.Feed(s, cfg.Arrivals[k]); err != nil {
+				return nil, err
+			}
+		}
+		return ol.Close()
+	})
+	if small != large {
+		t.Fatalf("live run allocates %.0f times at 16 streams and %.0f at 256, want the same", small, large)
+	}
+}
+
+// boundedAllocs reports how often one run allocates over the first 16
+// and over all 256 streams of one population, at workers = 1. Arrivals
+// are Poisson and the queue is bounded (CapK{K: 3, Queue: 2}), so peak
+// concurrency — and with it the slot arena, the heaps and the backlog
+// ring — is the same at both sizes, and only the population differs.
+func boundedAllocs(t *testing.T, run func(OpenConfig) (*OpenResult, error)) (small, large float64) {
+	t.Helper()
+	streams := mixedStreams(t, 256, 3, 47)
 	times, err := arrivals.Poisson{MeanGap: 15 * core.Millisecond, Seed: 9}.Times(len(streams))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := OpenConfig{
-		Streams:  streams,
-		Arrivals: times,
-		Admit:    CapK{K: 3, Queue: -1},
-		Workers:  1,
-		Scratch:  NewOpenScratch(),
-	}
-	run := func() {
-		res, err := OpenRunStats(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Admitted != len(streams) {
-			t.Fatalf("admitted %d of %d", res.Admitted, len(streams))
-		}
-	}
-	run() // warm the scratch: chunks, heaps and result slabs allocate once
-	if allocs := testing.AllocsPerRun(32, run); allocs != 0 {
-		t.Fatalf("steady-state open run allocates %.2f times per run, want 0", allocs)
-	}
-
-	// The metric hooks must not cost the property: the same steady
-	// state with the full instrument bundle enabled stays at zero.
-	cfg.Obs = obs.NewFleetMetrics(obs.NewRegistry("t"))
-	run()
-	if allocs := testing.AllocsPerRun(32, run); allocs != 0 {
-		t.Fatalf("steady-state open run with metrics allocates %.2f times per run, want 0", allocs)
-	}
-
-	// The incremental driver inherits the contract through
-	// OpenLiveConfig.Scratch: a warm feed-by-feed run — create, feed,
-	// advance, state reads, close — is just as allocation-free, which is
-	// what makes a cluster instance's steady state free in turn.
-	sc := NewOpenScratch()
-	maxLevels := 0
-	for k := range streams {
-		maxLevels = max(maxLevels, streams[k].Runner.Sys.NumLevels())
-	}
-	live := func() {
-		ol := NewOpenLive(OpenLiveConfig{Admit: cfg.Admit, Workers: 1, MaxLevels: maxLevels, Scratch: sc})
-		for k, s := range streams {
-			if err := ol.Advance(times[k] - 1); err != nil {
+	allocs := func(n int) float64 {
+		cfg := OpenConfig{Streams: streams[:n], Arrivals: times[:n], Admit: CapK{K: 3, Queue: 2}, Workers: 1}
+		return testing.AllocsPerRun(8, func() {
+			res, err := run(cfg)
+			if err != nil {
 				t.Fatal(err)
 			}
-			_ = ol.Backlog() + ol.InService()
-			_ = ol.CPULoad()
-			if err := ol.Feed(s, times[k]); err != nil {
-				t.Fatal(err)
+			if res.Admitted+res.Shed != n || res.Admitted == 0 {
+				t.Fatalf("%d streams: admitted %d, shed %d", n, res.Admitted, res.Shed)
 			}
-		}
-		res, err := ol.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Admitted != len(streams) {
-			t.Fatalf("admitted %d of %d", res.Admitted, len(streams))
-		}
+		})
 	}
-	live()
-	if allocs := testing.AllocsPerRun(32, live); allocs != 0 {
-		t.Fatalf("steady-state live run allocates %.2f times per run, want 0", allocs)
-	}
+	return allocs(16), allocs(256)
 }

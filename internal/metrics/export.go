@@ -30,19 +30,3 @@ func WriteTraceCSV(w io.Writer, tr *sim.Trace) error {
 	}
 	return nil
 }
-
-// writeSummaryCSV dumps a set of run summaries as one CSV table — the
-// §4.2 comparison table in machine-readable form.
-func writeSummaryCSV(w io.Writer, sums []Summary) error {
-	if _, err := fmt.Fprintln(w, "manager,cycles,decisions,misses,avg_quality,overhead_fraction,mean_relax_steps,switches,mean_abs_dq"); err != nil {
-		return err
-	}
-	for _, s := range sums {
-		if _, err := fmt.Fprintf(w, "%s,%d,%d,%d,%.4f,%.6f,%.3f,%d,%.5f\n",
-			s.Manager, s.Cycles, s.Decisions, s.Misses, s.AvgQuality,
-			s.OverheadFraction, s.MeanRelaxSteps, s.Smooth.Switches, s.Smooth.MeanAbsDelta); err != nil {
-			return err
-		}
-	}
-	return nil
-}

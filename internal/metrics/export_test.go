@@ -31,19 +31,3 @@ func TestWriteTraceCSV(t *testing.T) {
 		t.Fatalf("row 2 = %q", lines[2])
 	}
 }
-
-func TestWriteSummaryCSV(t *testing.T) {
-	sums := []Summary{{
-		Manager: "relaxed", Cycles: 29, Decisions: 9505, Misses: 0,
-		AvgQuality: 4.774, OverheadFraction: 0.005, MeanRelaxSteps: 3.6,
-		Smooth: Smoothness{Switches: 500, MeanAbsDelta: 0.02},
-	}}
-	var b strings.Builder
-	if err := writeSummaryCSV(&b, sums); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	if !strings.Contains(out, "relaxed,29,9505,0,4.7740") {
-		t.Fatalf("summary row missing: %q", out)
-	}
-}
